@@ -61,15 +61,20 @@ def _emit(args, payload: dict, text: str):
 
 
 def _jobs(args) -> int | None:
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get("MORSEKIT_JOBS")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise MorsekitError(f"MORSEKIT_JOBS must be an integer, got {env!r}") from exc
+    jobs = args.jobs
+    if jobs is None:
+        env = os.environ.get("MORSEKIT_JOBS")
+        if not env:
+            return None
+        try:
+            jobs = int(env)
+        except ValueError as exc:
+            raise MorsekitError(
+                f"MORSEKIT_JOBS must be an integer, got {env!r}"
+            ) from exc
+    if jobs < 1:
+        raise MorsekitError(f"--jobs and MORSEKIT_JOBS must be >= 1, got {jobs}")
+    return jobs
 
 
 def cmd_extract(args) -> int:
@@ -300,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers (default: MORSEKIT_JOBS or 1)")
+                       help="parallel workers, at most the CPU count "
+                       "(default: MORSEKIT_JOBS or 1)")
         p.add_argument("--max-support-size", type=int, default=7)
         p.set_defaults(func=func)
         return p

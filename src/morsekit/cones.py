@@ -13,7 +13,7 @@ chains grown one element at a time with a feasibility test per extension.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -169,47 +169,34 @@ def cone_constraints(support: SupportSet, ctype: CombinatorialType) -> StrictSys
 
 
 def _hull_forms(support: SupportSet, w: tuple[int, ...]) -> list[Form]:
-    idx = {p: i for i, p in enumerate(support.points)}
-    n = len(support)
-    forms = []
-    for t in range(1, len(w) - 1):
-        a, b, c = w[t - 1], w[t], w[t + 1]
-        form = [0] * n
-        form[idx[a]] -= c - b
-        form[idx[b]] += c - a
-        form[idx[c]] -= b - a
-        forms.append(tuple(form))
+    forms = [
+        support.form(((a, -(c - b)), (b, c - a), (c, -(b - a))))
+        for a, b, c in zip(w, w[1:], w[2:])
+    ]
     wset = set(w)
     for p in support.points:
         if p in wset:
             continue
         j = max(t for t in range(len(w) - 1) if w[t] < p)
         u, v = w[j], w[j + 1]
-        form = [0] * n
-        form[idx[u]] += v - p
-        form[idx[v]] += p - u
-        form[idx[p]] -= v - u
-        forms.append(tuple(form))
+        forms.append(support.form(((u, v - p), (v, p - u), (p, -(v - u)))))
     return forms
 
 
 def _z_pair_form(
     support: SupportSet, w: tuple[int, ...], prev: int, cur: int
 ) -> Form:
-    # phi_i = S_i / d_i; phi_cur > phi_prev cleared of the positive denominators
-    idx = {p: i for i, p in enumerate(support.points)}
-    n = len(support)
-
-    def s_coeffs(i: int) -> list[int]:
-        form = [0] * n
-        form[idx[w[i]]] += w[i + 1]
-        form[idx[w[i + 1]]] -= w[i]
-        return form
-
+    # phi_i = S_i / d_i with S_i = w_{i+1} g(w_i) - w_i g(w_{i+1});
+    # phi_cur > phi_prev cleared of the positive denominators
     d_prev = w[prev + 1] - w[prev]
     d_cur = w[cur + 1] - w[cur]
-    return tuple(
-        a * d_prev - b * d_cur for a, b in zip(s_coeffs(cur), s_coeffs(prev))
+    return support.form(
+        (
+            (w[cur], w[cur + 1] * d_prev),
+            (w[cur + 1], -w[cur] * d_prev),
+            (w[prev], -w[prev + 1] * d_cur),
+            (w[prev + 1], w[prev] * d_cur),
+        )
     )
 
 
@@ -224,15 +211,8 @@ def _m_pair_form(
 ) -> Form:
     # value of p exceeds value of q at root j, cleared of d_j:
     # d_j (g(p) - g(q)) + (p - q)(g(w_j) - g(w_{j+1})) > 0
-    idx = {pt: i for i, pt in enumerate(support.points)}
-    n = len(support)
     d = w[j + 1] - w[j]
-    form = [0] * n
-    form[idx[p]] += d
-    form[idx[q]] -= d
-    form[idx[w[j]]] += p - q
-    form[idx[w[j + 1]]] -= p - q
-    return tuple(form)
+    return support.form(((p, d), (q, -d), (w[j], p - q), (w[j + 1], -(p - q))))
 
 
 def _m_chain_forms(
@@ -384,6 +364,15 @@ def _all_subdivisions(support: SupportSet) -> list[tuple[int, ...]]:
     return sorted(subs)
 
 
+def _pool_size(jobs: int | None, tasks: int) -> int:
+    """Worker processes for `jobs`: never more than the CPUs or the tasks.
+
+    The pool forks every worker up front, so an unclamped request would
+    start that many processes whatever the work.
+    """
+    return max(1, min(jobs or 1, os.cpu_count() or 1, tasks))
+
+
 def enumerate_types(
     support: SupportSet,
     *,
@@ -393,24 +382,29 @@ def enumerate_types(
     """Every realizable combinatorial type, with an interior witness each.
 
     Output is canonically ordered (lexicographic by W, then Z, then M) and
-    identical regardless of the parallelism degree.  Raises SupportTooLarge
-    past the combinatorial cap.
+    identical regardless of the parallelism degree, which is clamped to the
+    CPU count.  Raises SupportTooLarge past the combinatorial cap.
     """
     if len(support) > max_support_size:
         raise SupportTooLarge(
             f"support of size {len(support)} exceeds the cap {max_support_size}"
         )
     subdivisions = _all_subdivisions(support)
-    if jobs is not None and jobs > 1:
-        # split each subdivision by the head of M^0 so no single subtree
-        # dominates the pool
-        tasks = [
-            (support.points, w, head)
-            for w in subdivisions
-            for head in support.points
-            if head != w[0] and head != w[1]
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # split each subdivision by the head of M^0 so no single subtree
+    # dominates the pool
+    tasks = [
+        (support.points, w, head)
+        for w in subdivisions
+        for head in support.points
+        if head != w[0] and head != w[1]
+    ]
+    workers = _pool_size(jobs, len(tasks))
+    if workers > 1:
+        # imported here so that importing the package does not load
+        # multiprocessing, which only a parallel run needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_subdivision_worker, tasks, chunksize=1))
         results = [item for chunk in chunks for item in chunk]
     else:

@@ -14,13 +14,8 @@ from fractions import Fraction
 
 from .errors import DegeneracyError, NonIntegerCovector, NotMorse
 from .rationals import rational_to_json
-from .tropical import (
-    CombinatorialType,
-    Covector,
-    SupportSet,
-    _hull_vertex_abscissas,
-    extract,
-)
+from .support_function import ShiftConfig, mu_value
+from .tropical import CombinatorialType, Covector, SupportSet, extract
 
 
 def _edge_areas(gamma: Covector, w: list[int]) -> list[Fraction]:
@@ -37,7 +32,7 @@ def newton_polygon_vertices(
     points (a_0, 0) and (a_max, 0); consecutive duplicates (when an endpoint
     value is 0) are merged.
     """
-    w = _hull_vertex_abscissas(support, gamma)
+    w = gamma.hull_vertices()
     cycle: list[tuple[Fraction, Fraction]] = [
         (Fraction(support.low), Fraction(0)),
         (Fraction(support.high), Fraction(0)),
@@ -59,7 +54,7 @@ def area_newton(support: SupportSet, gamma: Covector) -> Fraction:
 
 def area_newton_formula(support: SupportSet, gamma: Covector) -> Fraction:
     """Same area through the edge sums: sum S_j + w_k g(w_k) - w_0 g(w_0)."""
-    w = _hull_vertex_abscissas(support, gamma)
+    w = gamma.hull_vertices()
     return (
         sum(_edge_areas(gamma, w), start=Fraction(0))
         + w[-1] * gamma(w[-1])
@@ -176,24 +171,6 @@ def vol_fiber_trapezoids(support: SupportSet, gamma: Covector) -> Fraction:
     return fiber_polygon(support, gamma).area()
 
 
-def a2_coeffs(support: SupportSet, ctype: CombinatorialType) -> tuple[int, ...]:
-    """Coefficients of the triple-root stratum count |A2| as a form in gamma.
-
-    |A2| = Area(N) - gamma(w_0) - gamma(w_k), expanded over the edge sums.
-    """
-    w = ctype.w
-    idx = {p: i for i, p in enumerate(support.points)}
-    coeffs = [0] * len(support)
-    for u, v in zip(w, w[1:]):
-        coeffs[idx[u]] += v
-        coeffs[idx[v]] -= u
-    coeffs[idx[w[-1]]] += w[-1]
-    coeffs[idx[w[0]]] -= w[0]
-    coeffs[idx[w[0]]] -= 1
-    coeffs[idx[w[-1]]] -= 1
-    return tuple(coeffs)
-
-
 @dataclass(frozen=True)
 class StrataCounts:
     """Counts of the codimension-2 multisingularity strata over one covector.
@@ -219,17 +196,15 @@ class StrataCounts:
         }
 
 
-def strata_counts(support: SupportSet, gamma: Covector, shift=None) -> StrataCounts:
+def strata_counts(
+    support: SupportSet, gamma: Covector, shift: ShiftConfig = ShiftConfig()
+) -> StrataCounts:
     """Solve the three count relations for an integer Morse covector.
 
     n_a2   = Area(N) - gamma(w_0) - gamma(w_k)
     2*n_2a1 + n_a2 = mu(gamma) under the given shift
     chi_a1 = -Area(N) - 2*n_2a1 - 2*n_a2
     """
-    from .support_function import ShiftConfig, mu_value
-
-    if shift is None:
-        shift = ShiftConfig()
     if not gamma.is_integral():
         raise NonIntegerCovector("strata counts are defined for integer covectors")
     ctype = _extract_or_not_morse(support, gamma)

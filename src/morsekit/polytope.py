@@ -5,12 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import ceil, floor
 
 from .cones import enumerate_types
 from .errors import BadAxes, HyperplaneViolation
 from .rationals import rational_to_json
 from .support_function import ShiftConfig, mu_coeffs
-from .tropical import CombinatorialType, Covector, SupportSet
+from .tropical import CombinatorialType, Covector, SupportSet, convex_hull_2d
 
 
 @dataclass(frozen=True)
@@ -97,50 +98,7 @@ def build_polytope(
     return MorsePolytope(support, shift, vertices, cones, d1, d2)
 
 
-# --- 2D hull and projections -----------------------------------------------------
-
-
-def _orient(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull_2d(points, return_collinear: bool = False):
-    """Convex hull in counterclockwise order, exact monotone chain.
-
-    Collinear boundary points are dropped from the vertex list; pass
-    return_collinear=True to also get them back as a side channel.
-    """
-    pts = sorted(set(map(tuple, points)))
-    if len(pts) <= 2:
-        return (list(pts), []) if return_collinear else list(pts)
-
-    def half(sequence):
-        chain = []
-        for p in sequence:
-            while len(chain) >= 2 and _orient(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if return_collinear:
-        interior_or_edge = [p for p in pts if p not in set(hull)]
-        on_edge = [
-            p
-            for p in interior_or_edge
-            if any(
-                _orient(hull[i], hull[(i + 1) % len(hull)], p) == 0
-                and min(hull[i][0], hull[(i + 1) % len(hull)][0]) <= p[0]
-                <= max(hull[i][0], hull[(i + 1) % len(hull)][0])
-                and min(hull[i][1], hull[(i + 1) % len(hull)][1]) <= p[1]
-                <= max(hull[i][1], hull[(i + 1) % len(hull)][1])
-                for i in range(len(hull))
-            )
-        ]
-        return hull, on_edge
-    return hull
+# --- projections ----------------------------------------------------------------
 
 
 def default_axes(support: SupportSet) -> tuple[int, int]:
@@ -173,8 +131,19 @@ class RenderOptions:
     labels: bool = True
 
 
+# Grid lines per axis before the grid coarsens from every lattice unit to
+# every `step` units; it keeps huge coefficients from producing huge SVGs.
+_MAX_GRID_LINES = 100
+
+
 def _fmt(x) -> str:
     return f"{float(x):.3f}"
+
+
+def _grid_ticks(lo, hi) -> range:
+    """Grid-line coordinates in [lo, hi]: every multiple of a lattice step."""
+    step = max(1, ceil((hi - lo) / _MAX_GRID_LINES))
+    return range(ceil(lo / step) * step, floor(hi) + 1, step)
 
 
 def render_svg(polygon, options: RenderOptions = RenderOptions()) -> str:
@@ -215,22 +184,16 @@ def render_svg(polygon, options: RenderOptions = RenderOptions()) -> str:
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
     ]
     if options.grid:
-        gx = int(x0)
-        while gx <= x1:
-            if gx >= x0:
-                lines.append(
-                    f'<line class="grid" x1="{tx(gx)}" y1="{ty(y0)}" '
-                    f'x2="{tx(gx)}" y2="{ty(y1)}" stroke="#ddd" stroke-width="0.5"/>'
-                )
-            gx += 1
-        gy = int(y0)
-        while gy <= y1:
-            if gy >= y0:
-                lines.append(
-                    f'<line class="grid" x1="{tx(x0)}" y1="{ty(gy)}" '
-                    f'x2="{tx(x1)}" y2="{ty(gy)}" stroke="#ddd" stroke-width="0.5"/>'
-                )
-            gy += 1
+        for gx in _grid_ticks(x0, x1):
+            lines.append(
+                f'<line class="grid" x1="{tx(gx)}" y1="{ty(y0)}" '
+                f'x2="{tx(gx)}" y2="{ty(y1)}" stroke="#ddd" stroke-width="0.5"/>'
+            )
+        for gy in _grid_ticks(y0, y1):
+            lines.append(
+                f'<line class="grid" x1="{tx(x0)}" y1="{ty(gy)}" '
+                f'x2="{tx(x1)}" y2="{ty(gy)}" stroke="#ddd" stroke-width="0.5"/>'
+            )
     if len(pts) >= 2:
         path = " ".join(f"{tx(x)},{ty(y)}" for x, y in pts)
         lines.append(

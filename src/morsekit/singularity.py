@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NonIntegerCovector
+from .rationals import common_denominator
 from .tropical import CombinatorialType, Covector, SupportSet
 
 
@@ -49,26 +50,23 @@ def c_coeffs(
     w, m_j = ctype.w, ctype.m[j]
     wj, wj1 = w[j], w[j + 1]
     ladder = gcd_ladder(w, j, m_j)
-    coeffs = [0] * len(support)
-    idx = {p: i for i, p in enumerate(support.points)}
+    terms = []
     for l, m in enumerate(m_j, start=1):
         drop = ladder[l - 1] - ladder[l]
-        if drop == 0:
-            continue
-        coeffs[idx[m]] += (wj1 - wj) * drop
-        coeffs[idx[wj]] += (m - wj1) * drop
-        coeffs[idx[wj1]] += (wj - m) * drop
-    return tuple(coeffs)
+        if drop:
+            terms += [
+                (m, (wj1 - wj) * drop),
+                (wj, (m - wj1) * drop),
+                (wj1, (wj - m) * drop),
+            ]
+    return support.form(terms)
 
 
 def c_value(
     support: SupportSet, gamma: Covector, ctype: CombinatorialType, j: int
 ) -> Fraction:
     """C^j evaluated at gamma (dot product of c_coeffs with the values)."""
-    return sum(
-        (c * v for c, v in zip(c_coeffs(support, ctype, j), gamma.values)),
-        start=Fraction(0),
-    )
+    return gamma.dot(c_coeffs(support, ctype, j))
 
 
 def validate_fork_sequence(entries) -> tuple[int, ...]:
@@ -193,7 +191,5 @@ def c_value_via_levels_scaled(
     """Level-route C^j for rational gamma, via scaling and linearity."""
     if gamma.is_integral():
         return c_value_via_levels(support, gamma, ctype, j)
-    from .rationals import common_denominator
-
     q = common_denominator(gamma.values)
     return c_value_via_levels(support, gamma.scaled(q), ctype, j) / q

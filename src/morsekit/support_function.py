@@ -58,24 +58,23 @@ def mu_coeffs(
     w, z = ctype.w, ctype.z
     k = ctype.k
     d = [w[i + 1] - w[i] for i in range(k)]
-    idx = {p: i for i, p in enumerate(support.points)}
-    coeffs = [0] * len(support)
+    terms = []
 
     run = 0  # 2 * sum of d_{z_l} for l before the current position
     for zj in z:
         weight = d[zj] - 3 + run
-        coeffs[idx[w[zj]]] += w[zj + 1] * weight
-        coeffs[idx[w[zj + 1]]] += -w[zj] * weight
+        terms += [(w[zj], w[zj + 1] * weight), (w[zj + 1], -w[zj] * weight)]
         run += 2 * d[zj]
 
     for j in range(k):
-        for i, c in enumerate(c_coeffs(support, ctype, j)):
-            coeffs[i] += c
+        terms += zip(support.points, c_coeffs(support, ctype, j))
 
     w0, wk = w[0], w[k]
-    coeffs[idx[w0]] += (abs(w0) - w0) * (wk - w0) + shift.c1
-    coeffs[idx[wk]] += (wk + abs(wk)) * (wk - w0) + shift.c2
-    return tuple(coeffs)
+    terms += [
+        (w0, (abs(w0) - w0) * (wk - w0) + shift.c1),
+        (wk, (wk + abs(wk)) * (wk - w0) + shift.c2),
+    ]
+    return support.form(terms)
 
 
 def mu_value(
@@ -86,9 +85,7 @@ def mu_value(
     Equals the dot product of the covector with the vertex of its own cone;
     extraction errors propagate.
     """
-    ctype = extract(support, gamma)
-    vertex = mu_coeffs(support, ctype, shift)
-    return sum((c * v for c, v in zip(vertex, gamma.values)), start=Fraction(0))
+    return gamma.dot(mu_coeffs(support, extract(support, gamma), shift))
 
 
 def mu_coeffs_positive(
@@ -107,23 +104,31 @@ def mu_coeffs_positive(
         )
     w = ctype.w
     k = ctype.k
-    idx = {p: i for i, p in enumerate(support.points)}
-    coeffs = [0] * len(support)
     w0, wk = w[0], w[k]
 
-    coeffs[idx[w0]] += w[1] * (w[1] - w0 - 3) + shift.c1
+    terms = [(w0, w[1] * (w[1] - w0 - 3) + shift.c1)]
     for j in range(1, k):
-        coeffs[idx[w[j]]] += (w[j + 1] - w[j - 1]) * (
-            w[j - 1] + w[j] + w[j + 1] - 2 * w0 - 3
+        terms.append(
+            (w[j], (w[j + 1] - w[j - 1]) * (w[j - 1] + w[j] + w[j + 1] - 2 * w0 - 3))
         )
-    coeffs[idx[wk]] += (
-        (wk - w[k - 1]) * (2 * wk + w[k - 1] - 2 * w0 - 3) + 3 * wk + shift.c2
+    terms.append(
+        (wk, (wk - w[k - 1]) * (2 * wk + w[k - 1] - 2 * w0 - 3) + 3 * wk + shift.c2)
     )
 
     for j in range(k):
-        for i, c in enumerate(c_coeffs(support, ctype, j)):
-            coeffs[i] += c
-    return tuple(coeffs)
+        terms += zip(support.points, c_coeffs(support, ctype, j))
+    return support.form(terms)
+
+
+def a2_coeffs(support: SupportSet, ctype: CombinatorialType) -> tuple[int, ...]:
+    """Coefficients of the triple-root stratum count |A2| as a form in gamma.
+
+    |A2| = Area(N) - gamma(w_0) - gamma(w_k), expanded over the edge sums.
+    """
+    w = ctype.w
+    terms = [term for u, v in zip(w, w[1:]) for term in ((u, v), (v, -u))]
+    terms += [(w[-1], w[-1] - 1), (w[0], -w[0] - 1)]
+    return support.form(terms)
 
 
 def maxwell_caustic_split(
@@ -139,8 +144,6 @@ def maxwell_caustic_split(
     double-double stratum count.  Entries are exact rationals: the (0, 1)
     form is half of an integer form and need not be integral.
     """
-    from .fiber import a2_coeffs
-
     a, b = weights
     a2 = a2_coeffs(support, ctype)
     mu = mu_coeffs(support, ctype, shift)

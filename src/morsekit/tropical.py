@@ -22,7 +22,7 @@ open, so interior-point generation belongs to the enumeration layer).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -48,9 +48,12 @@ class SupportSet:
     """
 
     points: tuple[int, ...]
+    _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        points = tuple(self.points)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_position", {p: i for i, p in enumerate(points)})
 
     def __len__(self) -> int:
         return len(self.points)
@@ -59,7 +62,18 @@ class SupportSet:
         return iter(self.points)
 
     def index(self, p: int) -> int:
-        return self.points.index(p)
+        return self._position[p]
+
+    def form(self, terms) -> tuple[int, ...]:
+        """Integer linear form on the support from (exponent, coefficient) terms.
+
+        Coefficients of a repeated exponent add up; entries follow the sorted
+        support, so the same terms always give the same tuple.
+        """
+        coeffs = [0] * len(self.points)
+        for p, c in terms:
+            coeffs[self._position[p]] += c
+        return tuple(coeffs)
 
     @property
     def low(self) -> int:
@@ -116,6 +130,19 @@ class Covector:
     def __call__(self, p: int) -> Fraction:
         return self.values[self.support.index(p)]
 
+    def dot(self, coeffs) -> Fraction:
+        """Value at this covector of the linear form with these coefficients."""
+        return sum((c * v for c, v in zip(coeffs, self.values)), start=Fraction(0))
+
+    def hull_vertices(self) -> list[int]:
+        """Strict vertices of the upper hull of the lifted points, left to right.
+
+        Collinear interior points are dropped here; callers that must reject
+        them do so with an explicit on-edge check afterwards.
+        """
+        lifted = zip(reversed(self.support.points), reversed(self.values))
+        return [x for x, _ in reversed(_chain(lifted))]
+
     def scaled(self, factor) -> "Covector":
         factor = Fraction(factor)
         if factor < 0:
@@ -124,9 +151,6 @@ class Covector:
 
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self.values)
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(zip(self.support.points, self.values))
 
     def to_json(self) -> list:
         return [rational_to_json(v) for v in self.values]
@@ -155,26 +179,37 @@ def parse_input_json(obj) -> tuple[SupportSet, Covector | None]:
     return support, gamma
 
 
-# --- upper hull ---------------------------------------------------------------
+# --- hulls --------------------------------------------------------------------
 
 
-def _cross(o, a, b) -> Fraction:
+def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _hull_vertex_abscissas(support: SupportSet, gamma: Covector) -> list[int]:
-    """Strict vertices of the upper hull of the lifted points, left to right.
+def _chain(points) -> list:
+    """Monotone chain: the points in the given order that make strict left turns.
 
-    Collinear interior points are dropped here; callers that must reject them
-    do so with an explicit on-edge check afterwards.
+    On points sorted by abscissa this is the lower hull, left to right; on
+    the reversed order it is the upper hull, right to left.  Collinear points
+    are dropped.
     """
-    lifted = list(zip(support.points, gamma.values))
-    chain: list[tuple[int, Fraction]] = []
-    for pt in lifted:
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], pt) >= 0:
+    chain: list = []
+    for p in points:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
             chain.pop()
-        chain.append(pt)
-    return [x for x, _ in chain]
+        chain.append(p)
+    return chain
+
+
+def convex_hull_2d(points) -> list:
+    """Convex hull in counterclockwise order, exact monotone chain.
+
+    Collinear boundary points are dropped from the vertex list.
+    """
+    pts = sorted(set(map(tuple, points)))
+    if len(pts) <= 2:
+        return pts
+    return _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
 
 
 def _edge_value(gamma: Covector, u: int, v: int, p: int) -> Fraction:
@@ -190,7 +225,7 @@ def upper_hull(support: SupportSet, gamma: Covector) -> list[int]:
     over the lifted points alone.  Raises DegenerateHull if some non-vertex
     lifted point lies exactly on a hull edge.
     """
-    w = _hull_vertex_abscissas(support, gamma)
+    w = gamma.hull_vertices()
     wset = set(w)
     for p in support.points:
         if p in wset:
@@ -248,18 +283,19 @@ class CombinatorialType:
 def check_slopes(support: SupportSet, gamma: Covector) -> None:
     """Assert that no two distinct exponent pairs span equal slopes.
 
-    This is the global genericity condition the orderings M^j rely on; it is
-    checked over all pairs of pairs (the support is small, so the quartic
-    comparison count is irrelevant).
+    This is the global genericity condition the orderings M^j rely on.  Pairs
+    are grouped by exact slope in lexicographic order; the witness is the
+    first two pairs of the first group with more than one, which is the first
+    tie a scan over all pairs of pairs would meet.
     """
-    pts = support.points
-    pairs = [(pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))]
-    for i, (p, q) in enumerate(pairs):
-        dpq = gamma(q) - gamma(p)
-        for r, s in pairs[i + 1 :]:
-            # slope(p,q) == slope(r,s), cross-multiplied
-            if dpq * (s - r) == (gamma(s) - gamma(r)) * (q - p):
-                raise SlopeDegenerate((p, q), (r, s))
+    lifted = list(zip(support.points, gamma.values))
+    by_slope: dict[Fraction, list[tuple[int, int]]] = {}
+    for i, (p, gp) in enumerate(lifted):
+        for q, gq in lifted[i + 1 :]:
+            by_slope.setdefault((gq - gp) / (q - p), []).append((p, q))
+    for pairs in by_slope.values():
+        if len(pairs) > 1:
+            raise SlopeDegenerate(pairs[0], pairs[1])
 
 
 def extract(support: SupportSet, gamma: Covector) -> CombinatorialType:
@@ -338,7 +374,7 @@ def classify(support: SupportSet, gamma: Covector) -> Classification:
     hull pair) attains equal values.  The test is by exhaustive exact
     comparison, so it tolerates covectors on hull walls.
     """
-    w = _hull_vertex_abscissas(support, gamma)
+    w = gamma.hull_vertices()
     rv = roots_and_values(support, gamma, w)
 
     maxwell = None

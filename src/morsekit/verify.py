@@ -113,10 +113,6 @@ class SuiteResult:
         }
 
 
-def _dot(coeffs, values) -> Fraction:
-    return sum((c * v for c, v in zip(coeffs, values)), start=Fraction(0))
-
-
 def run_property_suite(
     support: SupportSet,
     samples: int,
@@ -145,11 +141,9 @@ def run_property_suite(
         ctype = extract(support, gamma)
 
         mu = mu_value(support, gamma, shift)
-        best = max(_dot(v, gamma.values) for v in polytope.vertices)
-        own = _dot(polytope.vertex_of(ctype), gamma.values)
-        argmax = [
-            v for v in polytope.vertices if _dot(v, gamma.values) == best
-        ]
+        best = max(gamma.dot(v) for v in polytope.vertices)
+        own = gamma.dot(polytope.vertex_of(ctype))
+        argmax = [v for v in polytope.vertices if gamma.dot(v) == best]
         dominance.record(
             best == mu and own == mu and len(argmax) == 1,
             gamma,

@@ -1,7 +1,10 @@
 """Exit codes, output contracts, and determinism of the command line."""
 
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 from morsekit.cli import main
 
@@ -199,6 +202,35 @@ def test_jobs_flag_and_env(capsys, monkeypatch):
     code, out, _ = run(capsys, "enumerate", '{"A": [1,2,3,4]}', "--format", "json")
     assert code == 0
     assert json.loads(out) == baseline
+
+
+@pytest.mark.parametrize("flag,env", [("0", None), ("-3", None), (None, "0")])
+def test_jobs_below_one_exit_one(capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("MORSEKIT_JOBS", env)
+    argv = ["enumerate", '{"A": [1,2,3,4]}'] + (["--jobs", flag] if flag else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and ">= 1" in err
+
+
+@pytest.mark.parametrize(
+    "support,sha256",
+    [
+        (
+            "[1,2,3,4]",
+            "f21eb93e13fa3465991146313446550b0c518042b9e973f688c2d19d7cfbc931",
+        ),
+        (
+            "[-3,-1,1,2,4]",
+            "954d3d5ea7058819f271eae193da0cd51ba0a5191e97cf6c248f740fde58cc28",
+        ),
+    ],
+)
+def test_polytope_json_bytes_pinned(capsys, support, sha256):
+    # vertices, cone table and witnesses, byte for byte
+    code, out, _ = run(capsys, "polytope", '{"A": %s}' % support, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_max_support_size_guard(capsys):

@@ -17,6 +17,7 @@ from morsekit import (
     mu_coeffs,
     validate_support,
 )
+from morsekit.cones import _pool_size
 from morsekit.errors import DegeneracyError
 
 
@@ -149,6 +150,16 @@ def test_deterministic_and_schedule_independent(mixed_support):
     second = enumerate_types(mixed_support)
     parallel = enumerate_types(mixed_support, jobs=2)
     assert first == second == parallel
+
+
+def test_pool_size_clamped_to_cpus_and_tasks(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _pool_size(10**9, 1000) == 4
+    assert _pool_size(10**9, 3) == 3
+    assert _pool_size(2, 1000) == 2
+    assert _pool_size(None, 1000) == _pool_size(0, 1000) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _pool_size(8, 1000) == 1
 
 
 def test_sampling_completeness_deg4(deg4_support):

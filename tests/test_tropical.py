@@ -24,6 +24,7 @@ from morsekit import (
     validate_support,
 )
 from morsekit.errors import CovectorError, MalformedInput
+from morsekit.tropical import check_slopes
 
 
 # --- validate_support ---------------------------------------------------------
@@ -207,6 +208,16 @@ def test_extract_slope_degenerate_has_witness(mixed_support):
     (p, q), (r, s) = err.value.pair_a, err.value.pair_b
     # the two reported segments really do share a slope
     assert (g(q) - g(p)) * (s - r) == (g(s) - g(r)) * (q - p)
+    # the witness is the first tie in lexicographic pair order: three pairs
+    # share slope 1/2 here, and with slopes 1 and 1/3 tied, the earlier
+    # group wins even though its slope is larger
+    for values, pairs in (
+        ([1, 2, 3, 4, 4], ((-3, -1), (-3, 1))),
+        ([0, 0, 2, 1, 3], ((-1, 1), (2, 4))),
+    ):
+        with pytest.raises(SlopeDegenerate) as err:
+            check_slopes(mixed_support, covector_from_values(mixed_support, values))
+        assert (err.value.pair_a, err.value.pair_b) == pairs
 
 
 def test_extract_root_value_degenerate(mixed_support):
