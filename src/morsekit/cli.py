@@ -1,9 +1,10 @@
 """Command-line front end: one subcommand per pipeline stage.
 
 Input is a JSON object {"A": [...], "gamma": [...]} given inline or as a
-file path; rational gamma entries may be "p/q" strings.  Exit codes: 0 on
-success, 1 on malformed input, 2 when `extract` meets a degenerate covector,
-3 when `verify` finds a failing property.
+file path; rational gamma entries may be "p/q" strings.  Each subcommand
+accepts only the flags its handler reads.  Exit codes: 0 on success, 1 on
+malformed input or a usage error, 2 when `extract` meets a degenerate
+covector, 3 when `verify` finds a failing property.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .cones import cone_constraints, enumerate_types
 from .errors import DegeneracyError, MorsekitError
-from .fiber import fiber_polygon, strata_counts, vol_fiber_closed, vol_fiber_trapezoids
+from .fiber import fiber_polygon, strata_counts, vol_fiber_closed
 from .polytope import build_polytope, project_and_hull, render_svg
 from .rationals import rational_to_json
 from .singularity import (
@@ -26,7 +26,7 @@ from .singularity import (
     gcd_ladder,
     level_scan,
 )
-from .support_function import mu_coeffs, mu_value, parse_shift
+from .support_function import mu_coeffs, parse_shift
 from .tropical import classify, extract, parse_input_json, roots_and_values
 from .verify import run_property_suite
 
@@ -77,6 +77,15 @@ def _jobs(args) -> int | None:
     return jobs
 
 
+def _polytope(args, support):
+    return build_polytope(
+        support,
+        parse_shift(args.shift, support),
+        max_support_size=args.max_support_size,
+        jobs=_jobs(args),
+    )
+
+
 def cmd_extract(args) -> int:
     support, gamma = _load_input(args.input)
     gamma = _need_gamma(gamma)
@@ -117,7 +126,7 @@ def cmd_mu(args) -> int:
     shift = parse_shift(args.shift, support)
     ctype = extract(support, gamma)
     vertex = mu_coeffs(support, ctype, shift)
-    value = mu_value(support, gamma, shift)
+    value = gamma.dot(vertex)
     payload = {
         "mu": rational_to_json(value),
         "vertex": list(vertex),
@@ -141,19 +150,14 @@ def cmd_cj(args) -> int:
             "coeffs": list(coeffs),
             "value": rational_to_json(value),
             "ladder": list(gcd_ladder(ctype.w, j, ctype.m[j])),
+            "level_route_value": rational_to_json(
+                c_value_via_levels_scaled(support, gamma, ctype, j)
+            ),
         }
         if gamma.is_integral():
             seq, ff = level_scan(support, gamma, ctype, j)
             entry["i_sequence"] = list(seq)
             entry["facet_volume"] = ff.volume
-            entry["level_route_value"] = rational_to_json(
-                Fraction(-ff.volume * sum(i - 1 for i in seq))
-            )
-        else:
-            # rational input: the level route applies to the scaled covector
-            entry["level_route_value"] = rational_to_json(
-                c_value_via_levels_scaled(support, gamma, ctype, j)
-            )
         rows.append(entry)
     text = "\n".join(
         f"C^{row['j']}: value={row['value']} coeffs={row['coeffs']}" for row in rows
@@ -172,7 +176,7 @@ def cmd_fiber(args) -> int:
     payload = {
         **fp.to_json(),
         "volume_closed": rational_to_json(vol_fiber_closed(support, gamma)),
-        "volume_trapezoids": rational_to_json(vol_fiber_trapezoids(support, gamma)),
+        "volume_trapezoids": rational_to_json(fp.area()),
     }
     text = "\n".join(
         [
@@ -211,10 +215,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_polytope(args) -> int:
     support, _ = _load_input(args.input)
-    shift = parse_shift(args.shift, support)
-    poly = build_polytope(
-        support, shift, max_support_size=args.max_support_size, jobs=_jobs(args)
-    )
+    poly = _polytope(args, support)
     if args.format == "svg":
         sys.stdout.write(render_svg(project_and_hull(poly, _axes(args))))
         return 0
@@ -250,11 +251,10 @@ def cmd_strata(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise MorsekitError("--samples must be >= 1")
     support, _ = _load_input(args.input)
-    shift = parse_shift(args.shift, support)
-    result = run_property_suite(
-        support, args.samples, args.seed, shift=shift, jobs=_jobs(args)
-    )
+    result = run_property_suite(_polytope(args, support), args.samples, args.seed)
     lines = [f"seed={result.seed} samples={result.samples} resamples={result.resamples}"]
     for report in result.reports:
         status = "pass" if report.ok else "FAIL"
@@ -271,11 +271,7 @@ def cmd_plot(args) -> int:
     if gamma is not None:
         sys.stdout.write(render_svg(fiber_polygon(support, gamma)))
         return 0
-    shift = parse_shift(args.shift, support)
-    poly = build_polytope(
-        support, shift, max_support_size=args.max_support_size, jobs=_jobs(args)
-    )
-    sys.stdout.write(render_svg(project_and_hull(poly, _axes(args))))
+    sys.stdout.write(render_svg(project_and_hull(_polytope(args, support), _axes(args))))
     return 0
 
 
@@ -289,45 +285,62 @@ def _axes(args) -> tuple[int, int] | None:
     return (i, j)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like malformed input; 2 means a degenerate covector."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+_OPTIONS = {
+    "--shift": dict(default="0,0", help="'c1,c2' or 'unit-interval'"),
+    "--axes": dict(default=None, help="projection axes 'i,j'"),
+    "--samples": dict(type=int, default=200),
+    "--seed": dict(type=int, default=0),
+    "--jobs": dict(type=int, default=None,
+                   help="parallel workers, at most the CPU count "
+                   "(default: MORSEKIT_JOBS or 1)"),
+    "--max-support-size": dict(type=int, default=7),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="morsekit",
         description="Newton polytope of the Morse discriminant, exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    text, svg = ("json", "text"), ("json", "text", "svg")
+    pool = ("--jobs", "--max-support-size")
+    # subcommand, handler, help, --format choices, the other flags it reads
+    commands = (
+        ("extract", cmd_extract, "combinatorial data of a covector", text, ()),
+        ("mu", cmd_mu, "support-function value and cone vertex", text, ("--shift",)),
+        ("cj", cmd_cj, "correction sums C^j with dual-route diagnostics", text, ()),
+        ("fiber", cmd_fiber, "fiber polygon as a trapezoid stack", svg, ()),
+        ("enumerate", cmd_enumerate, "all realizable combinatorial types", text, pool),
+        ("polytope", cmd_polytope, "vertices and cone table of the polytope", svg,
+         ("--shift", "--axes", *pool)),
+        ("strata", cmd_strata, "multisingularity stratum counts", text, ("--shift",)),
+        ("verify", cmd_verify, "seeded property suite", text,
+         ("--shift", "--samples", "--seed", *pool)),
+        ("plot", cmd_plot, "SVG of the projected polytope or fiber polygon", (),
+         ("--shift", "--axes", *pool)),
+    )
+    for name, func, help_text, formats, flags in commands:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="inline JSON or path to a JSON file")
-        p.add_argument("--shift", default="0,0", help="'c1,c2' or 'unit-interval'")
-        p.add_argument("--format", choices=("json", "text", "svg"), default="text")
-        p.add_argument("--axes", default=None, help="projection axes 'i,j'")
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers, at most the CPU count "
-                       "(default: MORSEKIT_JOBS or 1)")
-        p.add_argument("--max-support-size", type=int, default=7)
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(func=func)
-        return p
-
-    add("extract", cmd_extract, "combinatorial data of a covector")
-    add("mu", cmd_mu, "support-function value and cone vertex")
-    add("cj", cmd_cj, "correction sums C^j with dual-route diagnostics")
-    add("fiber", cmd_fiber, "fiber polygon as a trapezoid stack")
-    add("enumerate", cmd_enumerate, "all realizable combinatorial types")
-    add("polytope", cmd_polytope, "vertices and cone table of the polytope")
-    add("strata", cmd_strata, "multisingularity stratum counts")
-    add("verify", cmd_verify, "seeded property suite")
-    add("plot", cmd_plot, "SVG of the projected polytope or fiber polygon")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (MorsekitError, OSError) as exc:

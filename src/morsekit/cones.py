@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import SlopeDegenerate, SupportTooLarge
+from .rationals import clear_denominators
 from .tropical import CombinatorialType, Covector, SupportSet, extract
 
 Form = tuple[int, ...]
@@ -41,17 +42,6 @@ class StrictSystem:
 
 
 # --- exact phase-1 simplex ------------------------------------------------------
-
-
-def _integer_form(form) -> tuple[int, ...]:
-    """Clear denominators of a rational form (positive scaling is harmless)."""
-    if all(isinstance(c, int) for c in form):
-        return tuple(form)
-    fracs = [Fraction(c) for c in form]
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // gcd(scale, f.denominator)
-    return tuple(int(f * scale) for f in fracs)
 
 
 _REDUCE_BITS = 32
@@ -83,7 +73,8 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
     n = system.nvars
     forms = system.forms
     if any(not isinstance(c, int) for form in forms for c in form):
-        forms = tuple(_integer_form(f) for f in forms)
+        # a positive scaling leaves each strict inequality as it was
+        forms = tuple(clear_denominators(f) for f in forms)
     if not forms:
         return (Fraction(1),) * n
     m = len(forms)
@@ -254,14 +245,6 @@ def _genericize(
                 raise AssertionError("could not genericize witness (internal bug)")
 
 
-def _int_scaled(point: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """The witness cleared to integers, for cheap strict form checks."""
-    scale = 1
-    for v in point:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
-    return tuple(int(v * scale) for v in point)
-
-
 def _extend(system: StrictSystem, witness, extra: list[Form]):
     """Add forms to a feasible (system, witness) pair, re-solving lazily.
 
@@ -276,7 +259,7 @@ def _extend(system: StrictSystem, witness, extra: list[Form]):
     point = feasible(child)
     if point is None:
         return child, None
-    return child, (point, _int_scaled(point))
+    return child, (point, clear_denominators(point))
 
 
 def _subdivision_types(
@@ -345,7 +328,7 @@ def _subdivision_types(
                 child_witness,
             )
 
-    grow_z((), base, (base_point, _int_scaled(base_point)))
+    grow_z((), base, (base_point, clear_denominators(base_point)))
     return found
 
 

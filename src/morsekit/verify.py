@@ -1,8 +1,9 @@
 """Seeded property suite cross-checking every dual-route computation.
 
-Samples integer covectors uniformly from {0, ..., bound}^|A|, resampling on
-degeneracy (walls have measure zero but positive probability on a grid), and
-checks on each sample:
+Checks a built polytope against the support and the shift it was built
+with.  Samples integer covectors uniformly from {0, ..., 50}^|A|, resampling
+on degeneracy (walls have measure zero but positive probability on a grid),
+and checks on each sample:
 
   * dominance: the maximum of <vertex, gamma> over the polytope equals the
     support-function value, attained exactly at the extracted cone's vertex;
@@ -28,9 +29,9 @@ from .fiber import (
     vol_fiber_closed,
     vol_fiber_trapezoids,
 )
-from .polytope import MorsePolytope, build_polytope
+from .polytope import MorsePolytope
 from .singularity import c_value, c_value_via_levels, gcd_ladder, level_scan
-from .support_function import ShiftConfig, mu_value
+from .support_function import mu_value
 from .tropical import Covector, SupportSet, extract
 
 
@@ -113,20 +114,14 @@ class SuiteResult:
         }
 
 
-def run_property_suite(
-    support: SupportSet,
-    samples: int,
-    seed: int,
-    *,
-    bound: int = 50,
-    shift: ShiftConfig = ShiftConfig(),
-    polytope: MorsePolytope | None = None,
-    jobs: int | None = None,
-) -> SuiteResult:
-    """Run every property on `samples` seeded integer Morse covectors."""
+def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> SuiteResult:
+    """Run every property on `samples` seeded integer Morse covectors.
+
+    The support and the shift are the polytope's own, so its vertices and
+    the support-function values always follow one convention.
+    """
+    support, shift = polytope.support, polytope.shift
     rng = random.Random(seed)
-    if polytope is None:
-        polytope = build_polytope(support, shift, jobs=jobs)
     result = SuiteResult(support, seed, samples)
     dominance = PropertyReport("dominance")
     dual_c = PropertyReport("cj_dual_route")
@@ -136,7 +131,7 @@ def run_property_suite(
     result.reports = [dominance, dual_c, dual_vol, dual_area, strata]
 
     for _ in range(samples):
-        gamma, extra = sample_morse_covector(support, rng, bound=bound)
+        gamma, extra = sample_morse_covector(support, rng)
         result.resamples += extra
         ctype = extract(support, gamma)
 

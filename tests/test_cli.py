@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -254,4 +257,81 @@ def test_plot_polytope(capsys):
 
 def test_samples_must_be_positive(capsys):
     code, _, err = run(capsys, "verify", '{"A": [1,2,3,4]}', "--samples", "0")
-    assert code == 1
+    assert code == 1 and "--samples must be >= 1" in err
+
+
+def run_usage(capsys, *argv):
+    """Exit code, stdout and stderr of an invocation argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("extract", MIXED, "--jobs", "2"),
+        ("extract", MIXED, "--format", "svg"),
+        ("mu", MIXED, "--samples", "3"),
+        ("cj", MIXED, "--seed", "1"),
+        ("fiber", MIXED, "--shift", "0,0"),
+        ("enumerate", '{"A": [1,2,3,4]}', "--shift", "0,0"),
+        ("strata", MIXED, "--axes", "0,1"),
+        ("plot", '{"A": [1,2,3,4]}', "--format", "json"),
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[2:]),
+)
+def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
+    code, out, err = run_usage(capsys, *argv)
+    assert code == 1 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("extract", MIXED, "--bogus"),
+        ("extract", MIXED, "--format", "xml"),
+        ("verify", '{"A": [1,2,3,4]}', "--samples", "abc"),
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[2:]),
+)
+def test_usage_errors_exit_one(capsys, argv):
+    code, out, err = run_usage(capsys, *argv)
+    assert code == 1 and out == "" and "usage:" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run_usage(capsys, "verify", "--help")
+    assert code == 0 and "--max-support-size" in out
+
+
+def test_verify_honours_max_support_size(capsys):
+    code, out, err = run(
+        capsys, "verify", '{"A": [1,2,3,4]}', "--max-support-size", "3"
+    )
+    assert code == 1 and out == "" and "exceeds" in err
+
+
+def _readme_examples():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["morsekit"]:
+                if len(words) > 2 and words[-2] == ">":
+                    words = words[:-2]
+                yield words[1:]
+
+
+README_EXAMPLES = list(_readme_examples())
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) >= 9
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=lambda argv: argv[0])
+def test_readme_example_runs(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip()
