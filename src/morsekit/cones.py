@@ -9,6 +9,14 @@ exact rationals decides; the phase-1 solution doubles as an interior witness.
 The search is a backtracking tree: hull constraints first (they kill most
 subdivisions cheaply), then the root-order chain, then the per-root monomial
 chains grown one element at a time with a feasibility test per extension.
+
+Most extensions that turn out empty repeat a contradiction a sibling already
+met.  When phase 1 proves a system empty, its final objective row holds
+Farkas multipliers, and the rows they weight form an empty system on their
+own.  Each subdivision keeps these cores in a store shared by all of its
+systems, and a later system that contains a whole core is answered empty
+without pivoting.  A core is only ever a proof of emptiness, so the store
+changes no answer and no witness, only the time to reach it.
 """
 
 from __future__ import annotations
@@ -31,14 +39,21 @@ class StrictSystem:
 
     nvars: int
     forms: tuple[Form, ...] = field(default_factory=tuple)
+    # form -> the proven-empty cores (frozensets of forms) that contain it;
+    # shared by every system extended from the same base, None for no store
+    learned: dict[Form, list[frozenset[Form]]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def extended(self, extra) -> "StrictSystem":
-        return StrictSystem(self.nvars, self.forms + tuple(extra))
+        return StrictSystem(self.nvars, self.forms + tuple(extra), self.learned)
 
     def holds_strictly(self, point) -> bool:
+        # a positive scaling of the point keeps every sign
+        scaled = clear_denominators(point)
         return all(
-            sum(c * x for c, x in zip(form, point)) > 0 for form in self.forms
-        ) and all(x >= 0 for x in point)
+            sum(c * x for c, x in zip(form, scaled)) > 0 for form in self.forms
+        ) and all(x >= 0 for x in scaled)
 
 
 # --- exact phase-1 simplex ------------------------------------------------------
@@ -69,14 +84,31 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
     Each tableau row is kept as integer numerators over one positive
     denominator, so every pivot is integer arithmetic and ratio tests are
     cross-multiplications; content reduction keeps the entries small.
+
+    With a store (`system.learned`), an empty answer also records its
+    Farkas core: at the phase-1 optimum the multiplier of row i is
+    y_i = -onums[n + i] / oden >= 0 (n + i is row i's surplus column), with
+    sum_i y_i l_i <= 0 coefficientwise and sum_i y_i > 0, so the rows with
+    y_i > 0 admit no point on their own.  A system that contains a stored
+    core is answered None before any tableau is built.  Only cores indexed
+    under the last form are looked up: systems grow by appending to a
+    feasible prefix, so only the newest form can complete a core, and a
+    miss merely solves.
     """
     n = system.nvars
     forms = system.forms
+    if not forms:
+        return (Fraction(1),) * n
+    learned = system.learned
+    if learned is not None:
+        cores = learned.get(forms[-1])
+        if cores:
+            present = set(forms)
+            if any(core <= present for core in cores):
+                return None
     if any(not isinstance(c, int) for form in forms for c in form):
         # a positive scaling leaves each strict inequality as it was
         forms = tuple(clear_denominators(f) for f in forms)
-    if not forms:
-        return (Fraction(1),) * n
     m = len(forms)
     # columns: n structural | m surplus | rhs.  The artificial variables that
     # seed the basis are never allowed back in, so their identity block is
@@ -133,6 +165,13 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
         basis[pivot_row] = enter
 
     if onums[-1] != 0:
+        if learned is not None:
+            # oden > 0, so y_i > 0 exactly where onums[n + i] < 0
+            core = frozenset(
+                system.forms[i] for i in range(m) if onums[n + i] < 0
+            )
+            for form in core:
+                learned.setdefault(form, []).append(core)
         return None
     point = [Fraction(0)] * n
     for i, var in enumerate(basis):
@@ -274,9 +313,11 @@ def _subdivision_types(
     when its parent's witness violates the newly added form.
 
     m0_head restricts M^0 to chains starting with that exponent; the parallel
-    path uses it to split one subdivision across workers.
+    path uses it to split one subdivision across workers.  Every system of
+    the call shares one store of Farkas cores (see `feasible`), which lives
+    exactly as long as the call.
     """
-    base = StrictSystem(len(support), tuple(_hull_forms(support, w)))
+    base = StrictSystem(len(support), tuple(_hull_forms(support, w)), {})
     base_point = feasible(base)
     if base_point is None:
         return []

@@ -182,6 +182,18 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     assert "counterexample" in out
 
 
+@pytest.mark.parametrize("shift", ["1,0", "0,1"])
+def test_verify_passes_under_odd_shifts(capsys, shift):
+    # an odd c1 or c2 makes 2*n_2a1 odd on some covectors; that is the
+    # convention, not a fault
+    code, out, _ = run(
+        capsys, "verify", '{"A": [1,2,3,4]}', "--samples", "20", "--seed", "5",
+        "--shift", shift,
+    )
+    assert code == 0
+    assert out.count("pass ") == 5
+
+
 def test_verify_seed_changes_output(capsys):
     _, out1, _ = run(
         capsys, "verify", '{"A": [1,2,3,4]}', "--samples", "5", "--seed", "1",
@@ -226,6 +238,14 @@ def test_jobs_below_one_exit_one(capsys, monkeypatch, flag, env):
         (
             "[-3,-1,1,2,4]",
             "954d3d5ea7058819f271eae193da0cd51ba0a5191e97cf6c248f740fde58cc28",
+        ),
+        (
+            "[1,2,3,4,5]",
+            "6374c5d288540b458710c1ea01feb8b8d48e544014097de8be26836d53811d08",
+        ),
+        (
+            "[2,3,4,6]",
+            "b8e9b50c4b530a3b4892312fa3753c00034c4a6370b1ef1e40972f65344c1683",
         ),
     ],
 )

@@ -1,5 +1,6 @@
 """Cone systems, exact feasibility, and the type enumeration."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -84,6 +85,43 @@ def test_infeasibility_certified_by_sampling():
             assert not system.holds_strictly(point)
 
 
+def test_empty_answer_records_its_farkas_core():
+    # x0 - x1 > 0 and x1 - x0 > 0 contradict each other; x0 + x1 > 0 is idle
+    store = {}
+    system = StrictSystem(2, ((1, 1), (1, -1), (-1, 1)), store)
+    assert feasible(system) is None
+    core = frozenset({(1, -1), (-1, 1)})
+    assert store == {(1, -1): [core], (-1, 1): [core]}
+    assert feasible(StrictSystem(2, tuple(core))) is None
+
+
+def test_stored_core_answers_without_solving():
+    # a deliberately false core makes the store's answer observable
+    store = {(1, 0): [frozenset({(1, 0)})]}
+    grown = StrictSystem(2, ((0, 1),), store).extended([(1, 0)])
+    assert grown.learned is store
+    assert feasible(grown) is None
+    # only cores under the last form are looked up; anything else solves
+    witness = feasible(StrictSystem(2, ((1, 0), (0, 1)), store))
+    assert witness == feasible(StrictSystem(2, ((1, 0), (0, 1))))
+    assert witness is not None
+
+
+def test_store_is_not_part_of_the_system_value():
+    forms = ((1, 0), (0, 1))
+    assert StrictSystem(2, forms, {}) == StrictSystem(2, forms)
+    assert hash(StrictSystem(2, forms, {})) == hash(StrictSystem(2, forms))
+    assert "learned" not in repr(StrictSystem(2, forms, {}))
+
+
+def test_holds_strictly_under_large_denominators():
+    system = StrictSystem(2, ((1, -1), (0, 1)))
+    tiny = Fraction(1, 2**1200)
+    assert system.holds_strictly((Fraction(1, 3) + tiny, Fraction(1, 3)))
+    assert not system.holds_strictly((Fraction(1, 3), Fraction(1, 3)))
+    assert not system.holds_strictly((Fraction(1, 3), -tiny))
+
+
 # --- cone constraint assembly -------------------------------------------------------
 
 
@@ -114,6 +152,31 @@ def test_cone_systems_are_homogeneous(mixed_support, mixed_gamma):
     for lam in (2, Fraction(1, 2)):
         scaled = tuple(v * lam for v in mixed_gamma.values)
         assert system.holds_strictly(scaled)
+
+
+@pytest.mark.parametrize(
+    "points,count,sha256",
+    [
+        (
+            [1, 2, 3, 4],
+            8,
+            "db7792a5b14844c8fb68187ca58b434d7c14b66fca83656fd0b59ed92969adff",
+        ),
+        (
+            [-3, -1, 1, 2, 4],
+            105,
+            "086899d6c1c997675e81ebda22e55f7fa50e34abda87c8c279ebaf26fc1bcc67",
+        ),
+    ],
+)
+def test_cone_constraints_witnesses_pinned(points, count, sha256):
+    # systems built outside the enumeration carry no store and solve as before
+    support = validate_support(points)
+    systems = [cone_constraints(support, t) for t, _ in enumerate_types(support)]
+    assert len(systems) == count
+    assert all(system.learned is None for system in systems)
+    witnesses = [feasible(system) for system in systems]
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == sha256
 
 
 def test_infeasible_root_order_for_positive_support():
