@@ -4,7 +4,10 @@ A combinatorial type (W, Z, M) is realizable iff the open cone cut out by
 its defining strict inequalities meets the nonnegative orthant.  Feasibility
 of a homogeneous strict system {l_i(g) > 0, g >= 0} is equivalent to
 feasibility of {l_i(g) >= 1, g >= 0}, which a small phase-1 simplex over
-exact rationals decides; the phase-1 solution doubles as an interior witness.
+exact integers decides; the phase-1 solution doubles as an interior witness.
+The simplex keeps a dictionary over the n nonbasic columns only, every entry
+over one common denominator, and pivots by exact integer division (Bareiss;
+Avis's lrs), so a pivot costs O(m n) however many rows have been pivoted.
 
 The search is a backtracking tree: hull constraints first (they kill most
 subdivisions cheaply), then the root-order chain, then the per-root monomial
@@ -24,7 +27,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .errors import SlopeDegenerate, SupportTooLarge
 from .rationals import clear_denominators
@@ -35,7 +37,10 @@ Form = tuple[int, ...]
 
 @dataclass(frozen=True)
 class StrictSystem:
-    """Homogeneous forms required strictly positive, on g >= 0 variables."""
+    """Homogeneous forms required strictly positive, on g >= 0 variables.
+
+    A form shorter than `nvars` is padded with zeros; a longer one is refused.
+    """
 
     nvars: int
     forms: tuple[Form, ...] = field(default_factory=tuple)
@@ -44,6 +49,10 @@ class StrictSystem:
     learned: dict[Form, list[frozenset[Form]]] | None = field(
         default=None, compare=False, repr=False
     )
+
+    def __post_init__(self):
+        if max(map(len, self.forms), default=0) > self.nvars:
+            raise ValueError(f"a form has more than {self.nvars} coefficients")
 
     def extended(self, extra) -> "StrictSystem":
         return StrictSystem(self.nvars, self.forms + tuple(extra), self.learned)
@@ -59,41 +68,33 @@ class StrictSystem:
 # --- exact phase-1 simplex ------------------------------------------------------
 
 
-_REDUCE_BITS = 32
-
-
-def _reduce_row(nums: list[int], den: int) -> tuple[list[int], int]:
-    # content reduction is only worth its gcd cost once entries get large
-    if den.bit_length() <= _REDUCE_BITS:
-        return nums, den
-    g = den
-    for v in nums:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return nums, den
-    if g > 1:
-        return [v // g for v in nums], den // g
-    return nums, den
-
-
 def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
     """Interior witness of the open cone, or None if it is empty.
 
-    Solves {l_i(g) >= 1, g >= 0} by a phase-1 simplex with Bland's rule.
-    Each tableau row is kept as integer numerators over one positive
-    denominator, so every pivot is integer arithmetic and ratio tests are
-    cross-multiplications; content reduction keeps the entries small.
+    Solves {l_i(g) >= 1, g >= 0} by a phase-1 simplex with Bland's rule that
+    minimizes the sum of the artificials.  Variables: structural 0..n-1,
+    surplus n + i and artificial n + m + i of row i.  The dictionary keeps
+    row i as A[i][0..n-1] in the n nonbasic slots, then its right-hand side
+    A[i][n], and the objective row O likewise, all integers over one
+    denominator det > 0.  While artificial i is basic (always in row i),
+    surplus i's column is -e_i with objective entry -1, so it cannot enter
+    and is not stored; an artificial that leaves never returns.
 
-    With a store (`system.learned`), an empty answer also records its
-    Farkas core: at the phase-1 optimum the multiplier of row i is
-    y_i = -onums[n + i] / oden >= 0 (n + i is row i's surplus column), with
-    sum_i y_i l_i <= 0 coefficientwise and sum_i y_i > 0, so the rows with
-    y_i > 0 admit no point on their own.  A system that contains a stored
-    core is answered None before any tableau is built.  Only cores indexed
-    under the last form are looked up: systems grow by appending to a
-    feasible prefix, so only the newest form can complete a core, and a
-    miss merely solves.
+    A pivot on row r and slot s, with p = A[r][s] > 0, turns every other
+    entry into (p A[i][j] - A[i][s] A[r][j]) // det, exact by Sylvester's
+    identity.  Slot s then takes the leaving column: the leaving basic
+    variable (sign +1), or, when artificial r leaves, surplus r (sign -1,
+    the artificial's column negated).  Then det becomes p.
+
+    At the optimum the Farkas multiplier of row i is y_i = 1 while artificial
+    i is basic, y_i = -O[k] / det when surplus i sits in slot k, and 0 when
+    surplus i is basic; sum_i y_i l_i <= 0 coefficientwise and sum_i y_i > 0,
+    so the rows with y_i > 0 admit no point on their own.  With a store
+    (`system.learned`), an empty answer records that core, and a system that
+    contains a stored core is answered None before any dictionary is built.
+    Only cores indexed under the last form are looked up: systems grow by
+    appending to a feasible prefix, so only the newest form can complete a
+    core, and a miss merely solves.
     """
     n = system.nvars
     forms = system.forms
@@ -110,65 +111,65 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
         # a positive scaling leaves each strict inequality as it was
         forms = tuple(clear_denominators(f) for f in forms)
     m = len(forms)
-    # columns: n structural | m surplus | rhs.  The artificial variables that
-    # seed the basis are never allowed back in, so their identity block is
-    # never materialized; basis entry n + m + i marks "artificial of row i".
-    width = n + m + 1
-    nums: list[list[int]] = []
-    dens: list[int] = []
-    for i, form in enumerate(forms):
-        row = [0] * width
-        row[: len(form)] = form
-        row[n + i] = -1
-        row[-1] = 1
-        nums.append(row)
-        dens.append(1)
-    basis = [n + m + i for i in range(m)]
-
-    # reduced costs for min(sum of artificials): obj[j] = sum_i rows[i][j]
-    onums = [sum(nums[i][j] for i in range(m)) for j in range(width)]
-    oden = 1
+    artificial = n + m
+    # row i: its n slot entries, then its right-hand side 1
+    rows = [[*form, *[0] * (n - len(form)), 1] for form in forms]
+    # reduced costs of min(sum of artificials): the column sums
+    obj = [sum(column) for column in zip(*rows)]
+    cols = list(range(n))
+    basis = [artificial + i for i in range(m)]
+    det = 1
 
     while True:
-        enter = next((j for j in range(width - 1) if onums[j] > 0), None)
-        if enter is None:
+        # Bland: the lowest-numbered variable with O > 0 enters
+        s = -1
+        for k in range(n):
+            if obj[k] > 0 and (s < 0 or cols[k] < cols[s]):
+                s = k
+        if s < 0:
             break
-        pivot_row = None
+        r = -1
         for i in range(m):
-            if nums[i][enter] <= 0:
+            if rows[i][s] <= 0:
                 continue
-            if pivot_row is None:
-                pivot_row = i
+            if r < 0:
+                r = i
                 continue
-            # compare nums[i][-1]/nums[i][enter] with the incumbent ratio
-            lhs = nums[i][-1] * nums[pivot_row][enter]
-            rhs = nums[pivot_row][-1] * nums[i][enter]
-            if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
-                pivot_row = i
-        if pivot_row is None:
+            # compare rows[i][n] / rows[i][s] with the incumbent ratio
+            lhs = rows[i][n] * rows[r][s]
+            rhs = rows[r][n] * rows[i][s]
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                r = i
+        if r < 0:
             raise AssertionError("phase-1 objective unbounded (internal bug)")
-        prow = nums[pivot_row]
-        piv = prow[enter]
+        prow = rows[r]
+        p = prow[s]
+        sign = -1 if basis[r] >= artificial else 1
         for i in range(m):
-            if i == pivot_row or nums[i][enter] == 0:
+            if i == r:
                 continue
-            f = nums[i][enter]
-            row = nums[i]
-            nums[i], dens[i] = _reduce_row(
-                [piv * a - f * b for a, b in zip(row, prow)], dens[i] * piv
-            )
-        f = onums[enter]
-        onums, oden = _reduce_row(
-            [piv * a - f * b for a, b in zip(onums, prow)], oden * piv
-        )
-        nums[pivot_row], dens[pivot_row] = _reduce_row(prow, piv)
-        basis[pivot_row] = enter
+            row = rows[i]
+            f = row[s]
+            if f:
+                rows[i] = [(p * a - f * b) // det for a, b in zip(row, prow)]
+                rows[i][s] = -sign * f
+            elif p != det:
+                rows[i] = [p * a // det for a in row]
+        f = obj[s]
+        obj = [(p * a - f * b) // det for a, b in zip(obj, prow)]
+        obj[s] = -sign * f - (p if sign < 0 else 0)
+        prow[s] = sign * det
+        cols[s], basis[r] = (basis[r] if sign > 0 else n + r), cols[s]
+        det = p
 
-    if onums[-1] != 0:
+    if obj[n] != 0:
         if learned is not None:
-            # oden > 0, so y_i > 0 exactly where onums[n + i] < 0
+            # y_i > 0: artificial i still basic, or surplus i in a slot with O < 0
+            weighted = {cols[k] - n for k in range(n) if cols[k] >= n and obj[k] < 0}
             core = frozenset(
-                system.forms[i] for i in range(m) if onums[n + i] < 0
+                system.forms[i]
+                for i in range(m)
+                if basis[i] == artificial + i or i in weighted
             )
             for form in core:
                 learned.setdefault(form, []).append(core)
@@ -176,8 +177,7 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
     point = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            # the basis column entry equals the row denominator exactly
-            point[var] = Fraction(nums[i][-1], nums[i][var])
+            point[var] = Fraction(rows[i][n], det)
     return tuple(point)
 
 

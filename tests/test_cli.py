@@ -247,6 +247,10 @@ def test_jobs_below_one_exit_one(capsys, monkeypatch, flag, env):
             "[2,3,4,6]",
             "b8e9b50c4b530a3b4892312fa3753c00034c4a6370b1ef1e40972f65344c1683",
         ),
+        (
+            "[1,2,3,4,5,6]",
+            "9a67a6b88704cd4abdb0977e68309bbcf07fb4456475f980019444b97114401a",
+        ),
     ],
 )
 def test_polytope_json_bytes_pinned(capsys, support, sha256):

@@ -114,6 +114,16 @@ def test_store_is_not_part_of_the_system_value():
     assert "learned" not in repr(StrictSystem(2, forms, {}))
 
 
+def test_form_longer_than_nvars_is_refused():
+    # the extra coefficient has no variable to multiply
+    with pytest.raises(ValueError, match="more than 2 coefficients"):
+        StrictSystem(2, ((-1, -1, 5),))
+    with pytest.raises(ValueError):
+        StrictSystem(2, ((1, 0),)).extended([(1, 2, 3)])
+    # a shorter form is padded with zeros
+    assert feasible(StrictSystem(3, ((1,), (-1, 2)))) == (1, 1, 0)
+
+
 def test_holds_strictly_under_large_denominators():
     system = StrictSystem(2, ((1, -1), (0, 1)))
     tiny = Fraction(1, 2**1200)

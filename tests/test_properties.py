@@ -1,4 +1,5 @@
-"""Property tests: the Farkas-core store and the exact-rational round trip."""
+"""Property tests: the simplex against a reference, the Farkas-core store and
+the exact-rational round trip."""
 
 import json
 from fractions import Fraction
@@ -11,8 +12,35 @@ from hypothesis import strategies as st  # noqa: E402
 
 from morsekit import StrictSystem, feasible  # noqa: E402
 from morsekit.rationals import parse_rational, rational_to_json  # noqa: E402
+from reference_simplex import reference_feasible  # noqa: E402
 
 MAX_FORMS = 8
+
+
+@st.composite
+def random_systems(draw):
+    """1-6 variables, up to 12 forms, coefficients in [-9, 9], some of them
+    fractions, and some forms shorter than the number of variables."""
+    nvars = draw(st.integers(1, 6))
+    coefficient = st.one_of(
+        st.integers(-9, 9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    )
+    form = st.lists(coefficient, min_size=1, max_size=nvars).map(tuple)
+    return nvars, tuple(draw(st.lists(form, max_size=12)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(random_systems())
+def test_feasible_matches_the_reference_simplex(case):
+    nvars, forms = case
+    store, reference_store = {}, {}
+    answer = feasible(StrictSystem(nvars, forms, store))
+    expected = reference_feasible(StrictSystem(nvars, forms, reference_store))
+    # the same Bland pivots: the same witness and the same Farkas core
+    assert answer == expected
+    assert answer is None or all(type(x) is Fraction for x in answer)
+    assert store == reference_store
 
 
 @st.composite
