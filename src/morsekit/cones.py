@@ -18,8 +18,15 @@ met.  When phase 1 proves a system empty, its final objective row holds
 Farkas multipliers, and the rows they weight form an empty system on their
 own.  Each subdivision keeps these cores in a store shared by all of its
 systems, and a later system that contains a whole core is answered empty
-without pivoting.  A core is only ever a proof of emptiness, so the store
-changes no answer and no witness, only the time to reach it.
+without pivoting.  Sums of the newest forms count as contained: a monomial
+chain p > q > r implies the comparison p > r, which a sibling branch may
+have proved contradictory (the learned explanations of Dutertre and de
+Moura's simplex-based solver).  A core is only ever a proof of emptiness, so
+the store changes no answer and no witness, only the time to reach it.
+
+A leaf's witness is nudged off the slope-tie walls by small shifts, and the
+ties are found on each candidate's cleared denominators in integer
+arithmetic; one `extract` per leaf confirms the type.
 """
 
 from __future__ import annotations
@@ -27,9 +34,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, zip_longest
+from math import lcm
 
-from .errors import SlopeDegenerate, SupportTooLarge
-from .rationals import clear_denominators
+from .errors import SupportTooLarge
+from .rationals import clear_denominators, common_denominator
 from .tropical import CombinatorialType, Covector, SupportSet, extract
 
 Form = tuple[int, ...]
@@ -92,21 +101,19 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
     so the rows with y_i > 0 admit no point on their own.  With a store
     (`system.learned`), an empty answer records that core, and a system that
     contains a stored core is answered None before any dictionary is built.
-    Only cores indexed under the last form are looked up: systems grow by
-    appending to a feasible prefix, so only the newest form can complete a
-    core, and a miss merely solves.
+    Only cores indexed under the last form, or under its sums with the
+    1 .. nvars - 4 forms just before it, are looked up (see
+    `_stored_core_within`):
+    systems grow by appending to a feasible prefix, so only the newest form
+    can complete a core, and a miss merely solves.
     """
     n = system.nvars
     forms = system.forms
     if not forms:
         return (Fraction(1),) * n
     learned = system.learned
-    if learned is not None:
-        cores = learned.get(forms[-1])
-        if cores:
-            present = set(forms)
-            if any(core <= present for core in cores):
-                return None
+    if learned is not None and _stored_core_within(forms, n, learned):
+        return None
     if any(not isinstance(c, int) for form in forms for c in form):
         # a positive scaling leaves each strict inequality as it was
         forms = tuple(clear_denominators(f) for f in forms)
@@ -129,17 +136,18 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
         if s < 0:
             break
         r = -1
-        for i in range(m):
-            if rows[i][s] <= 0:
+        for i, row in enumerate(rows):
+            a = row[s]
+            if a <= 0:
                 continue
             if r < 0:
-                r = i
+                r, ra, rb = i, a, row[n]
                 continue
-            # compare rows[i][n] / rows[i][s] with the incumbent ratio
-            lhs = rows[i][n] * rows[r][s]
-            rhs = rows[r][n] * rows[i][s]
+            # compare row[n] / a with the incumbent ratio rb / ra
+            lhs = row[n] * ra
+            rhs = rb * a
             if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
-                r = i
+                r, ra, rb = i, a, row[n]
         if r < 0:
             raise AssertionError("phase-1 objective unbounded (internal bug)")
         prow = rows[r]
@@ -179,6 +187,36 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
         if var < n:
             point[var] = Fraction(rows[i][n], det)
     return tuple(point)
+
+
+def _stored_core_within(
+    forms: tuple[Form, ...], nvars: int, learned: dict[Form, list[frozenset[Form]]]
+) -> bool:
+    """Whether a stored core lies within the forms and the newest one's sums.
+
+    Cores are looked up under the newest form, then under its sums with the
+    1 .. nvars - 4 forms just before it, and those sums count as present.
+    A sum of forms is positive wherever they all are, so a hit is a proof
+    of emptiness whatever the forms.  In the enumeration these are the sums
+    a monomial chain implies, _m_pair_form(p, q) + _m_pair_form(q, r) ==
+    _m_pair_form(p, r), and a chain has at most nvars - 3 links.
+    """
+    newest = forms[-1]
+    cores = learned.get(newest)
+    if cores:
+        present = set(forms)
+        if any(core <= present for core in cores):
+            return True
+    sums = []
+    total = newest
+    for form in forms[-2::-1][: max(nvars - 4, 0)]:
+        total = tuple(map(sum, zip_longest(total, form, fillvalue=0)))
+        sums.append(total)
+    cores = [core for total in sums for core in learned.get(total, ())]
+    if not cores:
+        return False
+    present = set(forms).union(sums)
+    return any(core <= present for core in cores)
 
 
 # --- constraint assembly ---------------------------------------------------------
@@ -257,31 +295,64 @@ def _m_chain_forms(
 
 
 def _genericize(
-    support: SupportSet, system: StrictSystem, point: tuple[Fraction, ...]
+    support: SupportSet,
+    system: StrictSystem,
+    point: tuple[Fraction, ...],
+    ctype: CombinatorialType,
 ) -> Covector:
     """Nudge a feasibility witness off the measure-zero slope-tie walls.
 
     Simplex witnesses are corner solutions and frequently tie two segment
     slopes; adding eps, eps^2, ... for a small power of 1/2 stays inside the
     open cone (the system forms are >= 1 there) while leaving every nonzero
-    linear form in finitely many bad positions.
+    linear form in finitely many bad positions.  The candidates are the
+    witness, then the shifts for eps = 2^-4, 2^-6, ..., 2^-198 that satisfy
+    the system strictly.  Each is tested for slope ties on its cleared
+    denominators, in integers; inside the open cone the strict hull, Z and M
+    forms exclude every other wall, so the first tie-free candidate is the
+    covector of `ctype`, which one `extract` confirms.
     """
-    gamma = Covector(support, point)
-    exponent = 4
-    while True:
-        try:
-            extract(support, gamma)
-            return gamma
-        except SlopeDegenerate:
-            eps = Fraction(1, 2**exponent)
-            shifted = tuple(
-                v + eps ** (i + 1) for i, v in enumerate(point)
+    for values, denominator in _candidates(system, point):
+        if not _slope_tie(support.points, values):
+            if extract(support, Covector(support, values)) != ctype:
+                raise AssertionError("witness outside its cone (internal bug)")
+            return Covector(
+                support, tuple(Fraction(x, denominator) for x in values)
             )
-            if system.holds_strictly(shifted):
-                gamma = Covector(support, shifted)
-            exponent += 2
-            if exponent > 200:
-                raise AssertionError("could not genericize witness (internal bug)")
+    raise AssertionError("could not genericize witness (internal bug)")
+
+
+def _candidates(system: StrictSystem, point: tuple[Fraction, ...]):
+    """The witness, then its eps-shifts that satisfy the system strictly.
+
+    Each comes as integers over one denominator: the shift by eps = 2^-e is
+    the witness's cleared values times 2^(e n), plus den 2^(e (n - 1 - i))
+    at coordinate i, over den 2^(e n).
+    """
+    den = common_denominator(point)
+    scaled = clear_denominators(point)
+    yield scaled, den
+    n = len(scaled)
+    for exponent in range(4, 200, 2):
+        shifted = tuple(
+            (x << exponent * n) + (den << exponent * (n - 1 - i))
+            for i, x in enumerate(scaled)
+        )
+        if system.holds_strictly(shifted):
+            yield shifted, den << exponent * n
+
+
+def _slope_tie(points: tuple[int, ...], values: tuple[int, ...]) -> bool:
+    """Whether two exponent pairs span equal slopes, for integer values.
+
+    The test of `tropical.check_slopes` without Fractions: each slope
+    (g(q) - g(p)) / (q - p) is compared as an integer, times the lcm of the
+    exponent gaps.
+    """
+    pairs = list(combinations(zip(points, values), 2))
+    scale = lcm(*(q - p for (p, _), (q, _) in pairs))
+    slopes = {(gq - gp) * (scale // (q - p)) for (p, gp), (q, gq) in pairs}
+    return len(slopes) < len(pairs)
 
 
 def _extend(system: StrictSystem, witness, extra: list[Form]):
@@ -347,7 +418,7 @@ def _subdivision_types(
             chains = chains + (chain,)
             if j + 1 == k:
                 ctype = CombinatorialType(w, z, chains)
-                found.append((ctype, _genericize(support, system, witness[0])))
+                found.append((ctype, _genericize(support, system, witness[0], ctype)))
                 return
             grow_m(z, j + 1, chains, (), others[j + 1], system, witness)
             return

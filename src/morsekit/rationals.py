@@ -47,11 +47,11 @@ def rational_to_json(value: Fraction):
 
 
 def common_denominator(values) -> int:
-    """Least common multiple of the denominators of `values`."""
-    return lcm(*(Fraction(v).denominator for v in values)) if values else 1
+    """Least common multiple of the denominators of `values` (ints or Fractions)."""
+    return lcm(*(v.denominator for v in values))
 
 
 def clear_denominators(values) -> tuple[int, ...]:
     """`values` times their common denominator: integers in the same ratios."""
     scale = common_denominator(values)
-    return tuple(int(v * scale) for v in values)
+    return tuple(v.numerator * (scale // v.denominator) for v in values)

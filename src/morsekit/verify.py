@@ -137,13 +137,14 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
         ctype = extract(support, gamma)
 
         mu = mu_value(support, gamma, shift)
-        best = max(gamma.dot(v) for v in polytope.vertices)
+        heights = [gamma.dot(v) for v in polytope.vertices]
+        best = max(heights)
         own = gamma.dot(polytope.vertex_of(ctype))
-        argmax = [v for v in polytope.vertices if gamma.dot(v) == best]
+        argmax_count = heights.count(best)
         dominance.record(
-            best == mu and own == mu and len(argmax) == 1,
+            best == mu and own == mu and argmax_count == 1,
             gamma,
-            f"max={best} mu={mu} own={own} argmax_count={len(argmax)}",
+            f"max={best} mu={mu} own={own} argmax_count={argmax_count}",
         )
 
         ok = True

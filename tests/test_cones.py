@@ -1,6 +1,7 @@
 """Cone systems, exact feasibility, and the type enumeration."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,8 +19,10 @@ from morsekit import (
     mu_coeffs,
     validate_support,
 )
-from morsekit.cones import _pool_size
-from morsekit.errors import DegeneracyError
+from morsekit.cones import _genericize, _pool_size, _slope_tie
+from morsekit.errors import DegeneracyError, SlopeDegenerate
+from morsekit.rationals import clear_denominators
+from morsekit.tropical import check_slopes
 
 
 # --- the feasibility engine ------------------------------------------------------
@@ -101,10 +104,56 @@ def test_stored_core_answers_without_solving():
     grown = StrictSystem(2, ((0, 1),), store).extended([(1, 0)])
     assert grown.learned is store
     assert feasible(grown) is None
-    # only cores under the last form are looked up; anything else solves
+    # only cores under the last form (or, from 5 variables on, its sums
+    # with the forms before it) are looked up; anything else solves
     witness = feasible(StrictSystem(2, ((1, 0), (0, 1)), store))
     assert witness == feasible(StrictSystem(2, ((1, 0), (0, 1))))
     assert witness is not None
+
+
+def _unit(i, n=6):
+    return tuple(int(j == i) for j in range(n))
+
+
+def _add(*forms):
+    return tuple(map(sum, zip(*forms)))
+
+
+def test_core_under_a_sum_answers_without_solving():
+    # a deliberately false core stored only under f1 + f2
+    f0, f1, f2 = _unit(0), _unit(1), _unit(2)
+    store = {_add(f1, f2): [frozenset({_add(f1, f2)})]}
+    grown = StrictSystem(6, (f0, f1), store).extended([f2])
+    assert feasible(grown) is None
+    assert feasible(StrictSystem(6, (f0, f1, f2))) is not None
+    # the sum of the newest form with the two before it, at 6 variables
+    store = {_add(f0, f1, f2): [frozenset({_add(f0, f1, f2), f0})]}
+    assert feasible(StrictSystem(6, (f0, f1, f2), store)) is None
+
+
+def test_sums_past_the_bound_are_not_looked_up():
+    f0, f1, f2, f3 = (_unit(i) for i in range(4))
+    # 6 variables allow the newest form plus at most the 2 before it
+    store = {_add(f0, f1, f2, f3): [frozenset({_add(f0, f1, f2, f3)})]}
+    assert feasible(StrictSystem(6, (f0, f1, f2, f3), store)) is not None
+    # 5 variables allow a sum of two forms, 4 variables none
+    store = {_add(f1, f2): [frozenset({_add(f1, f2)})]}
+    assert feasible(StrictSystem(6, (f1, f2), store)) is None
+    five = tuple(f[:5] for f in (f0, f1, f2))
+    store = {_add(*five): [frozenset({_add(*five)})]}
+    assert feasible(StrictSystem(5, five, store)) is not None
+    four = tuple(f[:4] for f in (f1, f2))
+    store = {_add(*four): [frozenset({_add(*four)})]}
+    assert feasible(StrictSystem(4, four, store)) is not None
+
+
+def test_sums_pad_shorter_forms():
+    # (1,) + (0, 1) is the form (1, 1), not the truncation (1,)
+    forms = ((1,), (0, 1))
+    store = {(1, 1): [frozenset({(1, 1)})]}
+    assert feasible(StrictSystem(5, forms, store)) is None
+    store = {(1,): [frozenset({(1,)})]}
+    assert feasible(StrictSystem(5, forms, store)) is not None
 
 
 def test_store_is_not_part_of_the_system_value():
@@ -193,6 +242,50 @@ def test_infeasible_root_order_for_positive_support():
     support = validate_support([1, 2, 3, 4])
     bad = CombinatorialType((1, 2, 4), (1, 0), ((3, 4), (3, 1)))
     assert feasible(cone_constraints(support, bad)) is None
+
+
+# --- genericization ------------------------------------------------------------------
+
+
+def _check_slopes_ties(support, values):
+    try:
+        check_slopes(support, Covector(support, values))
+    except SlopeDegenerate:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "points,grid",
+    [
+        ([-3, -1, 1, 2, 4], range(4)),
+        ([1, 2, 3, 4, 5], range(4)),
+        ([2, 3, 4, 6], (0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(5, 2), 3)),
+        ([-3, -1, 1, 2, 4], (0, Fraction(1, 3), Fraction(1, 2), 1, 2)),
+    ],
+)
+def test_integer_slope_tie_test_agrees_with_check_slopes(points, grid):
+    support = validate_support(points)
+    verdicts = set()
+    for values in itertools.product(grid, repeat=len(points)):
+        tie = _slope_tie(support.points, clear_denominators(values))
+        assert tie == _check_slopes_ties(support, values), values
+        verdicts.add(tie)
+    assert verdicts == {True, False}
+
+
+def test_genericize_moves_a_tied_witness_into_its_cone(deg4_support):
+    ctype = CombinatorialType((1, 4), (0,), ((2, 3),))
+    system = cone_constraints(deg4_support, ctype)
+    witness = feasible(system)
+    # the simplex corner ties two slopes; the returned covector does not
+    assert _check_slopes_ties(deg4_support, witness)
+    gamma = _genericize(deg4_support, system, witness, ctype)
+    assert extract(deg4_support, gamma) == ctype
+    assert system.holds_strictly(gamma.values)
+    other = CombinatorialType((1, 4), (0,), ((3, 2),))
+    with pytest.raises(AssertionError, match="outside its cone"):
+        _genericize(deg4_support, system, witness, other)
 
 
 # --- enumeration ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Property tests: the simplex against a reference, the Farkas-core store and
-the exact-rational round trip."""
+"""Property tests: the simplex against a reference, the Farkas-core store,
+the exact-rational round trip, and the covector kernels."""
 
 import json
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -10,11 +12,44 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from morsekit import StrictSystem, feasible  # noqa: E402
+from morsekit import (  # noqa: E402
+    Covector,
+    ShiftConfig,
+    StrictSystem,
+    classify,
+    extract,
+    feasible,
+    mu_value,
+    validate_support,
+)
+from morsekit.errors import DegeneracyError  # noqa: E402
 from morsekit.rationals import parse_rational, rational_to_json  # noqa: E402
 from reference_simplex import reference_feasible  # noqa: E402
 
 MAX_FORMS = 8
+# far above the milliseconds an example takes; a pivot loop that stops
+# terminating fails instead of hanging the suite
+EXAMPLE_SECONDS = 10
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body after `seconds` of wall-clock time."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        # raised afresh: the frame the signal interrupted can lack a line
+        # number, which pytest cannot render
+        raise TimeoutError(f"example ran longer than {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite
@@ -35,8 +70,9 @@ def random_systems(draw):
 def test_feasible_matches_the_reference_simplex(case):
     nvars, forms = case
     store, reference_store = {}, {}
-    answer = feasible(StrictSystem(nvars, forms, store))
-    expected = reference_feasible(StrictSystem(nvars, forms, reference_store))
+    with time_limit(EXAMPLE_SECONDS):
+        answer = feasible(StrictSystem(nvars, forms, store))
+        expected = reference_feasible(StrictSystem(nvars, forms, reference_store))
     # the same Bland pivots: the same witness and the same Farkas core
     assert answer == expected
     assert answer is None or all(type(x) is Fraction for x in answer)
@@ -44,18 +80,37 @@ def test_feasible_matches_the_reference_simplex(case):
 
 
 @st.composite
-def branching_systems(draw):
+def branching_systems(draw, nvars):
     """A shared base and sibling branches grown from it, at most 8 forms each.
 
     The enumeration grows systems the same way: every branch starts from one
     base and appends one form at a time, and all of them share one store.
     """
-    nvars = draw(st.integers(2, 4))
+    nvars = draw(nvars)
     form = st.tuples(*[st.integers(-3, 3)] * nvars)
     base = draw(st.lists(form, max_size=3))
     room = MAX_FORMS - len(base)
     branches = draw(st.lists(st.lists(form, min_size=1, max_size=room), min_size=1, max_size=4))
     return nvars, tuple(base), branches
+
+
+@st.composite
+def chain_systems(draw):
+    """A branch that holds the sum of a chain of forms, then the chain itself.
+
+    In the enumeration a sibling compares p with r directly, and a chain
+    p > q > r appends the two forms whose sum that comparison is; from 5
+    variables on the store looks cores up under such sums.  The negated sum,
+    sometimes in the base or the sibling, makes small empty cores common.
+    """
+    nvars = draw(st.integers(5, 6))
+    random_form = st.tuples(*[st.integers(-3, 3)] * nvars)
+    chain = draw(st.lists(random_form, min_size=2, max_size=nvars - 3))
+    total = tuple(map(sum, zip(*chain)))
+    form = st.one_of(random_form, st.just(tuple(-c for c in total)))
+    base = draw(st.lists(form, max_size=2))
+    sibling = draw(st.permutations([total, *draw(st.lists(form, min_size=1, max_size=3))]))
+    return nvars, tuple(base), [sibling, chain]
 
 
 def _grow(nvars, base, branches, store):
@@ -68,8 +123,16 @@ def _grow(nvars, base, branches, store):
             yield system, feasible(system)
 
 
-@settings(max_examples=200, deadline=None)
-@given(branching_systems())
+# from 5 variables on the store also looks up sums of the newest forms
+grown_systems = st.one_of(
+    branching_systems(st.integers(2, 4)),
+    branching_systems(st.integers(5, 6)),
+    chain_systems(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(grown_systems)
 def test_store_never_changes_an_answer(case):
     nvars, base, branches = case
     store = {}
@@ -79,8 +142,8 @@ def test_store_never_changes_an_answer(case):
         assert answer == feasible(StrictSystem(nvars, system.forms))
 
 
-@settings(max_examples=200, deadline=None)
-@given(branching_systems())
+@settings(max_examples=500, deadline=None)
+@given(grown_systems)
 def test_every_recorded_core_is_empty(case):
     nvars, base, branches = case
     store = {}
@@ -104,3 +167,46 @@ def test_rational_json_round_trip(value):
 def test_rational_strings_parse_exactly(num, den):
     assert parse_rational(f"{num}/{den}") == Fraction(num, den)
     assert parse_rational(f" {num} / {den} ") == Fraction(num, den)
+
+
+SUPPORTS = [
+    validate_support(points)
+    for points in ([1, 2, 3, 4], [2, 3, 4, 6], [-3, -1, 1, 2, 4], [1, 2, 3, 4, 5, 6])
+]
+
+
+@st.composite
+def covectors(draw):
+    """Covectors on a few supports, with small integer or rational values, so
+    that walls between cones are common."""
+    support = draw(st.sampled_from(SUPPORTS))
+    value = st.one_of(
+        st.integers(0, 12),
+        st.fractions(min_value=0, max_value=12, max_denominator=6),
+    )
+    values = draw(st.lists(value, min_size=len(support), max_size=len(support)))
+    return Covector(support, tuple(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(covectors())
+def test_extract_success_means_morse(gamma):
+    try:
+        extract(gamma.support, gamma)
+    except DegeneracyError:
+        return
+    assert classify(gamma.support, gamma).is_morse
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    covectors(),
+    st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=100),
+    st.sampled_from([ShiftConfig(), ShiftConfig(4, -30), ShiftConfig(1, -2)]),
+)
+def test_mu_value_is_homogeneous(gamma, c, shift):
+    try:
+        mu = mu_value(gamma.support, gamma, shift)
+    except DegeneracyError:
+        return
+    assert mu_value(gamma.support, gamma.scaled(c), shift) == c * mu
