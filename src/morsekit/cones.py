@@ -9,9 +9,12 @@ The simplex keeps a dictionary over the n nonbasic columns only, every entry
 over one common denominator, and pivots by exact integer division (Bareiss;
 Avis's lrs), so a pivot costs O(m n) however many rows have been pivoted.
 
-The search is a backtracking tree: hull constraints first (they kill most
-subdivisions cheaply), then the root-order chain, then the per-root monomial
-chains grown one element at a time with a feasibility test per extension.
+The search is a backtracking tree per subdivision W: hull constraints first
+(they kill most subdivisions cheaply), then k + 1 chains in turn, the root
+order Z and one monomial order M^j per root.  Every chain grows by the same
+rule, one element at a time with a feasibility test per extension, and
+`cone_constraints` reads its forms off the same chain definitions.  The
+subdivisions are independent tasks, mapped in order or over a process pool.
 
 Most extensions that turn out empty repeat a contradiction a sibling already
 met.  When phase 1 proves a system empty, its final objective row holds
@@ -34,6 +37,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, zip_longest
 from math import lcm
 
@@ -229,10 +233,9 @@ def cone_constraints(support: SupportSet, ctype: CombinatorialType) -> StrictSys
     for each skipped exponent over its covering edge, (c) the root-value
     chain in the order Z, (d) each monomial chain M^j, denominators cleared.
     """
-    forms = list(_hull_forms(support, ctype.w))
-    forms.extend(_z_chain_forms(support, ctype.w, ctype.z))
-    for j in range(ctype.k):
-        forms.extend(_m_chain_forms(support, ctype.w, j, ctype.m[j]))
+    forms = _hull_forms(support, ctype.w)
+    for (_, pair_form), chain in zip(_chains(support, ctype.w), (ctype.z, *ctype.m)):
+        forms.extend(pair_form(prev, cur) for prev, cur in zip(chain, chain[1:]))
     return StrictSystem(len(support), tuple(forms))
 
 
@@ -268,12 +271,6 @@ def _z_pair_form(
     )
 
 
-def _z_chain_forms(
-    support: SupportSet, w: tuple[int, ...], z: tuple[int, ...]
-) -> list[Form]:
-    return [_z_pair_form(support, w, prev, cur) for prev, cur in zip(z, z[1:])]
-
-
 def _m_pair_form(
     support: SupportSet, w: tuple[int, ...], j: int, p: int, q: int
 ) -> Form:
@@ -283,11 +280,20 @@ def _m_pair_form(
     return support.form(((p, d), (q, -d), (w[j], p - q), (w[j + 1], -(p - q))))
 
 
-def _m_chain_forms(
-    support: SupportSet, w: tuple[int, ...], j: int, m_j: tuple[int, ...]
-) -> list[Form]:
-    return [
-        _m_pair_form(support, w, j, p, q) for p, q in zip(m_j, m_j[1:])
+def _chains(support: SupportSet, w: tuple[int, ...]):
+    """The k + 1 chains of a type over W: Z, then M^0 .. M^{k-1}.
+
+    Each is (its elements, the form of one adjacent pair (prev, cur)).  Z
+    orders the roots 0 .. k-1; M^j orders the exponents off edge j.  A full
+    chain contributes pair_form(prev, cur) for each adjacent pair, in order.
+    """
+    k = len(w) - 1
+    return [(tuple(range(k)), partial(_z_pair_form, support, w))] + [
+        (
+            tuple(p for p in support.points if p != w[j] and p != w[j + 1]),
+            partial(_m_pair_form, support, w, j),
+        )
+        for j in range(k)
     ]
 
 
@@ -373,81 +379,46 @@ def _extend(system: StrictSystem, witness, extra: list[Form]):
 
 
 def _subdivision_types(
-    support: SupportSet, w: tuple[int, ...], m0_head: int | None = None
+    support: SupportSet, w: tuple[int, ...]
 ) -> list[tuple[CombinatorialType, Covector]]:
     """All realizable types refining one subdivision W, with witnesses.
 
-    Backtracking over the root order Z (grown one root at a time, pruning on
-    the partial value chain), then over each monomial chain M^j (grown one
-    element at a time, pruning on the new adjacent comparison).  Witnesses
-    are inherited down the tree, so a node pays for a simplex solve only
-    when its parent's witness violates the newly added form.
-
-    m0_head restricts M^0 to chains starting with that exponent; the parallel
-    path uses it to split one subdivision across workers.  Every system of
-    the call shares one store of Farkas cores (see `feasible`), which lives
-    exactly as long as the call.
+    Backtracking over the chains of `_chains` in turn: the root order Z, then
+    each monomial chain M^j.  A chain grows one unused element at a time, in
+    the order of its elements, and each extension adds the form comparing
+    the new element with its predecessor, pruning where the system turns
+    empty.  Witnesses are inherited down the tree, so a node pays for a
+    simplex solve only when its parent's witness violates the newly added
+    form.  Every system of the call shares one store of Farkas cores (see
+    `feasible`), which lives exactly as long as the call.
     """
     base = StrictSystem(len(support), tuple(_hull_forms(support, w)), {})
     base_point = feasible(base)
     if base_point is None:
         return []
-    k = len(w) - 1
-    others = [
-        [p for p in support.points if p != w[j] and p != w[j + 1]] for j in range(k)
-    ]
+    chains = _chains(support, w)
     found: list[tuple[CombinatorialType, Covector]] = []
 
-    def grow_z(prefix: tuple[int, ...], system: StrictSystem, witness):
-        if len(prefix) == k:
-            grow_m(prefix, 0, (), (), others[0], system, witness)
-            return
-        for nxt in range(k):
-            if nxt in prefix:
-                continue
-            extra = (
-                [_z_pair_form(support, w, prefix[-1], nxt)] if prefix else []
-            )
-            child, child_witness = _extend(system, witness, extra)
-            if child_witness is None:
-                continue
-            grow_z(prefix + (nxt,), child, child_witness)
-
-    def grow_m(z, j, chains, chain, remaining, system, witness):
-        if not remaining:
-            chains = chains + (chain,)
-            if j + 1 == k:
-                ctype = CombinatorialType(w, z, chains)
+    def grow(done: tuple, chain: tuple[int, ...], system: StrictSystem, witness):
+        elements, pair_form = chains[len(done)]
+        if len(chain) == len(elements):
+            done += (chain,)
+            if len(done) == len(chains):
+                ctype = CombinatorialType(w, done[0], done[1:])
                 found.append((ctype, _genericize(support, system, witness[0], ctype)))
-                return
-            grow_m(z, j + 1, chains, (), others[j + 1], system, witness)
+            else:
+                grow(done, (), system, witness)
             return
-        candidates = remaining
-        if m0_head is not None and j == 0 and not chain:
-            candidates = [m0_head]
-        for nxt in candidates:
-            extra = [_m_pair_form(support, w, j, chain[-1], nxt)] if chain else []
-            child, child_witness = _extend(system, witness, extra)
-            if child_witness is None:
+        for nxt in elements:
+            if nxt in chain:
                 continue
-            grow_m(
-                z,
-                j,
-                chains,
-                chain + (nxt,),
-                [x for x in remaining if x != nxt],
-                child,
-                child_witness,
-            )
+            extra = [pair_form(chain[-1], nxt)] if chain else []
+            child, child_witness = _extend(system, witness, extra)
+            if child_witness is not None:
+                grow(done, chain + (nxt,), child, child_witness)
 
-    grow_z((), base, (base_point, clear_denominators(base_point)))
+    grow((), (), base, (base_point, clear_denominators(base_point)))
     return found
-
-
-def _subdivision_worker(args):
-    points, w, m0_head = args
-    support = SupportSet(points)
-    return _subdivision_types(support, w, m0_head)
 
 
 def _all_subdivisions(support: SupportSet) -> list[tuple[int, ...]]:
@@ -476,35 +447,28 @@ def enumerate_types(
 ) -> list[tuple[CombinatorialType, Covector]]:
     """Every realizable combinatorial type, with an interior witness each.
 
-    Output is canonically ordered (lexicographic by W, then Z, then M) and
-    identical regardless of the parallelism degree, which is clamped to the
-    CPU count.  Raises SupportTooLarge past the combinatorial cap.
+    Each subdivision W is one task, and `jobs` > 1 maps the tasks over a
+    process pool of at most that many workers, clamped to the CPUs and to
+    the number of subdivisions.  Output is canonically ordered
+    (lexicographic by W, then Z, then M) and identical regardless of the
+    parallelism degree.  Raises SupportTooLarge past the combinatorial cap.
     """
     if len(support) > max_support_size:
         raise SupportTooLarge(
             f"support of size {len(support)} exceeds the cap {max_support_size}"
         )
     subdivisions = _all_subdivisions(support)
-    # split each subdivision by the head of M^0 so no single subtree
-    # dominates the pool
-    tasks = [
-        (support.points, w, head)
-        for w in subdivisions
-        for head in support.points
-        if head != w[0] and head != w[1]
-    ]
-    workers = _pool_size(jobs, len(tasks))
+    task = partial(_subdivision_types, support)
+    workers = _pool_size(jobs, len(subdivisions))
     if workers > 1:
         # imported here so that importing the package does not load
         # multiprocessing, which only a parallel run needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_subdivision_worker, tasks, chunksize=1))
-        results = [item for chunk in chunks for item in chunk]
+            chunks = list(pool.map(task, subdivisions))
     else:
-        results = [
-            item for w in subdivisions for item in _subdivision_types(support, w)
-        ]
+        chunks = map(task, subdivisions)
+    results = [item for chunk in chunks for item in chunk]
     results.sort(key=lambda pair: (pair[0].w, pair[0].z, pair[0].m))
     return results

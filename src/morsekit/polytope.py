@@ -123,13 +123,9 @@ def project_and_hull(
 # --- SVG rendering -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    scale: int = 40
-    margin: int = 30
-    grid: bool = True
-    labels: bool = True
-
+# Pixels per lattice unit, and the blank border around the drawing.
+_SCALE = 40
+_MARGIN = 30
 
 # Grid lines per axis before the grid coarsens from every lattice unit to
 # every `step` units; it keeps huge coefficients from producing huge SVGs.
@@ -146,12 +142,12 @@ def _grid_ticks(lo, hi) -> range:
     return range(ceil(lo / step) * step, floor(hi) + 1, step)
 
 
-def render_svg(polygon, options: RenderOptions = RenderOptions()) -> str:
+def render_svg(polygon) -> str:
     """Self-contained SVG for a planar polygon (vertex cycle).
 
     Accepts any sequence of exact-rational points; also accepts a
     FiberPolygon, in which case each horizontal base is drawn as well.
-    Output bytes depend only on the input and the options.
+    Output bytes depend only on the input.
     """
     bases = None
     if hasattr(polygon, "vertices") and hasattr(polygon, "bases"):
@@ -169,31 +165,29 @@ def render_svg(polygon, options: RenderOptions = RenderOptions()) -> str:
     ys = [p[1] for p in pts] or [Fraction(0)]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    s, mg = options.scale, options.margin
-    width = float((x1 - x0) * s) + 2 * mg
-    height = float((y1 - y0) * s) + 2 * mg
+    width = float((x1 - x0) * _SCALE) + 2 * _MARGIN
+    height = float((y1 - y0) * _SCALE) + 2 * _MARGIN
 
     def tx(x):
-        return _fmt((x - x0) * s + mg)
+        return _fmt((x - x0) * _SCALE + _MARGIN)
 
     def ty(y):
-        return _fmt(height - (float((y - y0) * s) + mg))
+        return _fmt(height - (float((y - y0) * _SCALE) + _MARGIN))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
     ]
-    if options.grid:
-        for gx in _grid_ticks(x0, x1):
-            lines.append(
-                f'<line class="grid" x1="{tx(gx)}" y1="{ty(y0)}" '
-                f'x2="{tx(gx)}" y2="{ty(y1)}" stroke="#ddd" stroke-width="0.5"/>'
-            )
-        for gy in _grid_ticks(y0, y1):
-            lines.append(
-                f'<line class="grid" x1="{tx(x0)}" y1="{ty(gy)}" '
-                f'x2="{tx(x1)}" y2="{ty(gy)}" stroke="#ddd" stroke-width="0.5"/>'
-            )
+    for gx in _grid_ticks(x0, x1):
+        lines.append(
+            f'<line class="grid" x1="{tx(gx)}" y1="{ty(y0)}" '
+            f'x2="{tx(gx)}" y2="{ty(y1)}" stroke="#ddd" stroke-width="0.5"/>'
+        )
+    for gy in _grid_ticks(y0, y1):
+        lines.append(
+            f'<line class="grid" x1="{tx(x0)}" y1="{ty(gy)}" '
+            f'x2="{tx(x1)}" y2="{ty(gy)}" stroke="#ddd" stroke-width="0.5"/>'
+        )
     if len(pts) >= 2:
         path = " ".join(f"{tx(x)},{ty(y)}" for x, y in pts)
         lines.append(
@@ -210,11 +204,10 @@ def render_svg(polygon, options: RenderOptions = RenderOptions()) -> str:
         lines.append(
             f'<circle class="vertex" cx="{tx(x)}" cy="{ty(y)}" r="3" fill="#1f4e8c"/>'
         )
-        if options.labels:
-            lines.append(
-                f'<text x="{tx(x)}" y="{ty(y)}" dx="5" dy="-5" font-size="10">'
-                f"({rational_to_json(Fraction(x))}, {rational_to_json(Fraction(y))})"
-                f"</text>"
-            )
+        lines.append(
+            f'<text x="{tx(x)}" y="{ty(y)}" dx="5" dy="-5" font-size="10">'
+            f"({rational_to_json(Fraction(x))}, {rational_to_json(Fraction(y))})"
+            f"</text>"
+        )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -19,6 +19,7 @@ from morsekit import (
     mu_coeffs,
     validate_support,
 )
+from morsekit import cones
 from morsekit.cones import _genericize, _pool_size, _slope_tie
 from morsekit.errors import DegeneracyError, SlopeDegenerate
 from morsekit.rationals import clear_denominators
@@ -238,6 +239,28 @@ def test_cone_constraints_witnesses_pinned(points, count, sha256):
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "points",
+    [[1, 2, 3, 4], [2, 3, 4, 6], [-3, -1, 1, 2, 4]],
+    ids=lambda points: ",".join(map(str, points)),
+)
+def test_tree_leaves_carry_the_cone_constraints(monkeypatch, points):
+    # the tree and cone_constraints read one chain definition, so every leaf
+    # system holds exactly the forms of its type's cone, in the same order
+    support = validate_support(points)
+    leaves = []
+
+    def record(support, system, point, ctype):
+        leaves.append((ctype, system.forms))
+        return _genericize(support, system, point, ctype)
+
+    monkeypatch.setattr(cones, "_genericize", record)
+    enumerated = enumerate_types(support)
+    assert [ctype for ctype, _ in leaves] == [ctype for ctype, _ in enumerated]
+    for ctype, forms in leaves:
+        assert forms == cone_constraints(support, ctype).forms
+
+
 def test_infeasible_root_order_for_positive_support():
     support = validate_support([1, 2, 3, 4])
     bad = CombinatorialType((1, 2, 4), (1, 0), ((3, 4), (3, 1)))
@@ -311,10 +334,16 @@ def test_no_duplicate_types(mixed_support):
     assert len(types) == len(set(types))
 
 
-def test_deterministic_and_schedule_independent(mixed_support):
-    first = enumerate_types(mixed_support)
-    second = enumerate_types(mixed_support)
-    parallel = enumerate_types(mixed_support, jobs=2)
+@pytest.mark.parametrize(
+    "points",
+    [[-3, -1, 1, 2, 4], [1, 2, 3, 4, 5], [2, 3, 4, 6]],
+    ids=lambda points: ",".join(map(str, points)),
+)
+def test_deterministic_and_schedule_independent(points):
+    support = validate_support(points)
+    first = enumerate_types(support)
+    second = enumerate_types(support)
+    parallel = enumerate_types(support, jobs=2)
     assert first == second == parallel
 
 

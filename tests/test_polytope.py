@@ -18,7 +18,6 @@ from morsekit import (
     sample_morse_covector,
     unit_interval_shift,
 )
-from morsekit.polytope import RenderOptions
 
 from conftest import dot
 
@@ -182,11 +181,7 @@ def test_svg_fiber_base_count(mixed_support, mixed_gamma):
 
 def test_svg_deterministic(mixed_support, mixed_gamma):
     fp = fiber_polygon(mixed_support, mixed_gamma)
-    options = RenderOptions(scale=17, margin=9, grid=True, labels=True)
-    assert render_svg(fp, options) == render_svg(fp, options)
-    plain = RenderOptions(grid=False, labels=False)
-    svg = render_svg(fp, plain)
-    assert 'class="grid"' not in svg and "<text" not in svg
+    assert render_svg(fp) == render_svg(fp)
 
 
 def test_svg_grid_bounded_at_huge_coefficients(mixed_support, mixed_gamma):

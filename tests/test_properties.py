@@ -1,10 +1,11 @@
 """Property tests: the simplex against a reference, the Farkas-core store,
-the exact-rational round trip, and the covector kernels."""
+the exact-rational round trip, the covector kernels, and support validation."""
 
 import json
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,7 +23,13 @@ from morsekit import (  # noqa: E402
     mu_value,
     validate_support,
 )
-from morsekit.errors import DegeneracyError  # noqa: E402
+from morsekit.errors import (  # noqa: E402
+    DegeneracyError,
+    DuplicatePoint,
+    NotGenerating,
+    TooShort,
+    ZeroInSupport,
+)
 from morsekit.rationals import parse_rational, rational_to_json  # noqa: E402
 from reference_simplex import reference_feasible  # noqa: E402
 
@@ -210,3 +217,36 @@ def test_mu_value_is_homogeneous(gamma, c, shift):
     except DegeneracyError:
         return
     assert mu_value(gamma.support, gamma.scaled(c), shift) == c * mu
+
+
+SUPPORT_RULES = (
+    (ZeroInSupport, lambda raw: 0 in raw),
+    (DuplicatePoint, lambda raw: len(set(raw)) != len(raw)),
+    (TooShort, lambda raw: len(raw) < 2 or max(raw) - min(raw) < 3),
+    (NotGenerating, lambda raw: gcd(*(p - min(raw) for p in raw)) != 1),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-12, 12), max_size=7),
+        st.lists(st.integers(-12, 12), max_size=7, unique=True),
+        st.lists(st.integers(-(10**12), 10**12), max_size=5, unique=True),
+    )
+)
+def test_validate_support_invariants(raw):
+    # the first rule broken, in validate_support's order, names the error
+    for error, broken in SUPPORT_RULES:
+        if broken(raw):
+            with pytest.raises(error) as excinfo:
+                validate_support(raw)
+            assert type(excinfo.value) is error
+            return
+    support = validate_support(raw)
+    points = support.points
+    assert list(points) == sorted(raw)
+    assert all(p < q for p, q in zip(points, points[1:])) and 0 not in points
+    assert points[-1] - points[0] >= 3
+    assert gcd(*(q - p for p, q in zip(points, points[1:]))) == 1
+    assert validate_support(points) == support
