@@ -42,7 +42,8 @@ def _load_input(text: str):
         raise MorsekitError(f"input is neither inline JSON nor an existing file: {text!r}")
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past Python's digit limit
         raise MorsekitError(f"invalid JSON input: {exc}") from exc
     return parse_input_json(obj)
 

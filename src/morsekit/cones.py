@@ -8,6 +8,10 @@ exact integers decides; the phase-1 solution doubles as an interior witness.
 The simplex keeps a dictionary over the n nonbasic columns only, every entry
 over one common denominator, and pivots by exact integer division (Bareiss;
 Avis's lrs), so a pivot costs O(m n) however many rows have been pivoted.
+Each row is packed into one Python int, its right-hand side and its n
+entries in signed fields of one width, fixed per solve by a Hadamard bound
+on the minors the dictionary can hold; a pivot then updates a whole row with
+a few big-integer operations instead of one Python operation per entry.
 
 The search is a backtracking tree per subdivision W: hull constraints first
 (they kill most subdivisions cheaply), then k + 1 chains in turn, the root
@@ -81,6 +85,24 @@ class StrictSystem:
 # --- exact phase-1 simplex ------------------------------------------------------
 
 
+class _Witness(tuple):
+    """A witness's coordinates as Fractions, with the integers behind them.
+
+    `numerators` over the one denominator `det` > 0 are the simplex's own
+    values, so `_extend` tests new forms on them without clearing the
+    Fractions' denominators again.
+    """
+
+    def __new__(cls, numerators: tuple[int, ...], det: int):
+        self = super().__new__(cls, (Fraction(x, det) for x in numerators))
+        self.numerators = numerators
+        self.det = det
+        return self
+
+    def __getnewargs__(self):
+        return self.numerators, self.det
+
+
 def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
     """Interior witness of the open cone, or None if it is empty.
 
@@ -99,6 +121,30 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
     variable (sign +1), or, when artificial r leaves, surplus r (sign -1,
     the artificial's column negated).  Then det becomes p.
 
+    Each row is one Python int, sum_j e_j 2^(w j) over fields j = 0 .. n of
+    w bits: e_0 = A[i][n] is the right-hand side and e_(k+1) = A[i][k] the
+    entry in slot k; the objective row likewise.  With
+    q = A[r] + (sign det) 2^(w (s + 1)), the whole update of row i is
+    (p A[i] - A[i][s] q) // det.  Every field of the dividend is divisible
+    by det, so the division is exact on the int however wide an
+    intermediate field gets, and field s comes out as -sign A[i][s].
+    Field j decodes as ((A[i] + bias) >> w j & (2^w - 1)) - 2^(w - 1),
+    where bias holds 2^(w - 1) in every field, so the right-hand side needs
+    no shift.  Decoding is right as long as every stored entry lies in
+    [-2^(w - 1), 2^(w - 1)).
+
+    The width w is ((m + 1) H).bit_length() + 1 with H = (N + 1)^(n + 1)
+    and N the largest 1-norm of a form.  Proof: by Cramer's rule det and
+    every A[i][j] are, up to sign, square minors of the full tableau
+    [L | -I | I | 1]; expanding along its unit columns leaves a minor of
+    order <= n + 1 of [L | 1].  A row of [L | 1] restricted to any columns
+    has 2-norm at most its 1-norm, at most N + 1, so by Hadamard's
+    inequality the minor is at most H in absolute value.  The objective row
+    is the sum of the rows whose artificial is basic, at most m of them, so
+    every stored entry is below (m + 1) H < 2^(w - 1) in absolute value.
+    The bound is nearly tight for zero forms, where H = 1 and the
+    objective's right-hand side is m, so one bit less can overflow.
+
     At the optimum the Farkas multiplier of row i is y_i = 1 while artificial
     i is basic, y_i = -O[k] / det when surplus i sits in slot k, and 0 when
     surplus i is basic; sum_i y_i l_i <= 0 coefficientwise and sum_i y_i > 0,
@@ -110,11 +156,20 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
     `_stored_core_within`):
     systems grow by appending to a feasible prefix, so only the newest form
     can complete a core, and a miss merely solves.
+
+    The witness is a tuple of Fractions that also carries the simplex's
+    integers, as `numerators` over `det`.
     """
+    solved = _solve(system)
+    return None if solved is None else _Witness(*solved)
+
+
+def _solve(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
+    """The simplex of `feasible`: the witness as numerators over det, or None."""
     n = system.nvars
     forms = system.forms
     if not forms:
-        return (Fraction(1),) * n
+        return (1,) * n, 1
     learned = system.learned
     if learned is not None and _stored_core_within(forms, n, learned):
         return None
@@ -123,61 +178,73 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
         forms = tuple(clear_denominators(f) for f in forms)
     m = len(forms)
     artificial = n + m
-    # row i: its n slot entries, then its right-hand side 1
-    rows = [[*form, *[0] * (n - len(form)), 1] for form in forms]
+    norm = max(sum(map(abs, form)) for form in forms)
+    width = ((m + 1) * (norm + 1) ** (n + 1)).bit_length() + 1
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    bias = sum(half << (width * j) for j in range(n + 1))
+    # slot k in field k + 1; the right-hand side 1 in field 0
+    shifts = [width * (k + 1) for k in range(n)]
+    rows = [1 + sum(c << sh for c, sh in zip(form, shifts)) for form in forms]
     # reduced costs of min(sum of artificials): the column sums
-    obj = [sum(column) for column in zip(*rows)]
+    obj = sum(rows)
     cols = list(range(n))
     basis = [artificial + i for i in range(m)]
     det = 1
 
     while True:
         # Bland: the lowest-numbered variable with O > 0 enters
+        biased = obj + bias
         s = -1
         for k in range(n):
-            if obj[k] > 0 and (s < 0 or cols[k] < cols[s]):
+            if biased >> shifts[k] & mask > half and (s < 0 or cols[k] < cols[s]):
                 s = k
         if s < 0:
             break
+        sh = shifts[s]
+        column = [((row + bias) >> sh & mask) - half for row in rows]
         r = -1
-        for i, row in enumerate(rows):
-            a = row[s]
+        for i, a in enumerate(column):
             if a <= 0:
                 continue
+            b = ((rows[i] + half) & mask) - half
             if r < 0:
-                r, ra, rb = i, a, row[n]
+                r, p, rb = i, a, b
                 continue
-            # compare row[n] / a with the incumbent ratio rb / ra
-            lhs = row[n] * ra
+            # compare b / a with the incumbent ratio rb / p
+            lhs = b * p
             rhs = rb * a
             if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
-                r, ra, rb = i, a, row[n]
+                r, p, rb = i, a, b
         if r < 0:
             raise AssertionError("phase-1 objective unbounded (internal bug)")
-        prow = rows[r]
-        p = prow[s]
         sign = -1 if basis[r] >= artificial else 1
-        for i in range(m):
+        prow = rows[r]
+        q = prow + (sign * det << sh)
+        for i, f in enumerate(column):
             if i == r:
                 continue
-            row = rows[i]
-            f = row[s]
             if f:
-                rows[i] = [(p * a - f * b) // det for a, b in zip(row, prow)]
-                rows[i][s] = -sign * f
+                rows[i] = (p * rows[i] - f * q) // det
             elif p != det:
-                rows[i] = [p * a // det for a in row]
-        f = obj[s]
-        obj = [(p * a - f * b) // det for a, b in zip(obj, prow)]
-        obj[s] = -sign * f - (p if sign < 0 else 0)
-        prow[s] = sign * det
+                rows[i] = p * rows[i] // det
+        f = (biased >> sh & mask) - half
+        obj = (p * obj - f * q) // det
+        if sign < 0:
+            obj -= p << sh
+        rows[r] = prow + (sign * det - p << sh)
         cols[s], basis[r] = (basis[r] if sign > 0 else n + r), cols[s]
         det = p
 
-    if obj[n] != 0:
+    if obj & mask:
         if learned is not None:
             # y_i > 0: artificial i still basic, or surplus i in a slot with O < 0
-            weighted = {cols[k] - n for k in range(n) if cols[k] >= n and obj[k] < 0}
+            biased = obj + bias
+            weighted = {
+                cols[k] - n
+                for k in range(n)
+                if cols[k] >= n and biased >> shifts[k] & mask < half
+            }
             core = frozenset(
                 system.forms[i]
                 for i in range(m)
@@ -186,11 +253,11 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
             for form in core:
                 learned.setdefault(form, []).append(core)
         return None
-    point = [Fraction(0)] * n
+    numerators = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            point[var] = Fraction(rows[i][n], det)
-    return tuple(point)
+            numerators[var] = ((rows[i] + half) & mask) - half
+    return tuple(numerators), det
 
 
 def _stored_core_within(
@@ -364,18 +431,15 @@ def _slope_tie(points: tuple[int, ...], values: tuple[int, ...]) -> bool:
 def _extend(system: StrictSystem, witness, extra: list[Form]):
     """Add forms to a feasible (system, witness) pair, re-solving lazily.
 
-    witness is a (point, scaled-integers) pair; the parent witness usually
-    satisfies the new form already, so the exact simplex runs only when it
-    does not.
+    witness comes from `feasible`; the parent witness usually satisfies the
+    new form already, which its integer numerators show, so the exact
+    simplex runs only when it does not.
     """
     child = system.extended(extra)
-    scaled = witness[1]
-    if all(sum(c * x for c, x in zip(form, scaled)) > 0 for form in extra):
+    numerators = witness.numerators
+    if all(sum(c * x for c, x in zip(form, numerators)) > 0 for form in extra):
         return child, witness
-    point = feasible(child)
-    if point is None:
-        return child, None
-    return child, (point, clear_denominators(point))
+    return child, feasible(child)
 
 
 def _subdivision_types(
@@ -393,8 +457,8 @@ def _subdivision_types(
     `feasible`), which lives exactly as long as the call.
     """
     base = StrictSystem(len(support), tuple(_hull_forms(support, w)), {})
-    base_point = feasible(base)
-    if base_point is None:
+    base_witness = feasible(base)
+    if base_witness is None:
         return []
     chains = _chains(support, w)
     found: list[tuple[CombinatorialType, Covector]] = []
@@ -405,7 +469,7 @@ def _subdivision_types(
             done += (chain,)
             if len(done) == len(chains):
                 ctype = CombinatorialType(w, done[0], done[1:])
-                found.append((ctype, _genericize(support, system, witness[0], ctype)))
+                found.append((ctype, _genericize(support, system, witness, ctype)))
             else:
                 grow(done, (), system, witness)
             return
@@ -417,7 +481,7 @@ def _subdivision_types(
             if child_witness is not None:
                 grow(done, chain + (nxt,), child, child_witness)
 
-    grow((), (), base, (base_point, clear_denominators(base_point)))
+    grow((), (), base, base_witness)
     return found
 
 

@@ -95,6 +95,10 @@ class NotPositiveSupport(MorsekitError, ValueError):
     """Specialized formula requires all exponents to be positive."""
 
 
+class NumberTooLarge(MorsekitError, ValueError):
+    """A number has more decimal digits than Python converts to text."""
+
+
 # --- assembly ----------------------------------------------------------------
 
 class HyperplaneViolation(MorsekitError):

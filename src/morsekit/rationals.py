@@ -6,10 +6,11 @@ rejected unless they are exact integers, so no binary rounding can leak in.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 
-from .errors import MalformedInput
+from .errors import MalformedInput, NumberTooLarge
 
 
 def parse_rational(value) -> Fraction:
@@ -39,11 +40,19 @@ def parse_rational(value) -> Fraction:
 
 
 def rational_to_json(value: Fraction):
-    """Render a Fraction as an int when possible, else as a "p/q" string."""
+    """Render a Fraction as an int when possible, else as a "p/q" string.
+
+    Raises NumberTooLarge when the numerator or the denominator has more
+    digits than `sys.get_int_max_str_digits()` allows in decimal text.
+    """
     value = Fraction(value)
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        text = str(value)
+    except ValueError as exc:
+        raise NumberTooLarge(
+            f"a number has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    return int(value) if value.denominator == 1 else text
 
 
 def common_denominator(values) -> int:

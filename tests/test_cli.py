@@ -67,6 +67,25 @@ def test_malformed_input_exit_one(capsys):
     assert code == 1  # invalid support
 
 
+def test_integer_literal_past_the_digit_limit_exit_one(capsys):
+    # json.loads refuses an integer of more than 4,300 digits with a ValueError
+    gamma = "[%s,1,2,3]" % ("9" * 5000)
+    code, out, err = run(capsys, "extract", '{"A": [1,2,3,4], "gamma": %s}' % gamma)
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid JSON input") and "4300 digits" in err
+
+
+def test_root_past_the_digit_limit_exit_one(capsys):
+    # the roots of this gamma have numerators and denominators that Python
+    # will not turn into more than 4,300 decimal digits
+    sevens, threes = "7" * 4000, "3" * 3999 + "1"
+    gamma = [f"1/{sevens}", f"5/{threes}", f"2/{sevens}", f"1/{threes}"]
+    payload = json.dumps({"A": [1, 2, 3, 4], "gamma": gamma})
+    code, out, err = run(capsys, "extract", payload, "--format", "json")
+    assert code == 1 and out == ""
+    assert err == "error: a number has more than 4300 digits\n"
+
+
 def test_rational_gamma_strings(capsys):
     code, out, _ = run(
         capsys,
@@ -250,6 +269,15 @@ def test_jobs_below_one_exit_one(capsys, monkeypatch, flag, env):
         (
             "[1,2,3,4,5,6]",
             "9a67a6b88704cd4abdb0977e68309bbcf07fb4456475f980019444b97114401a",
+        ),
+        (
+            "[-3,-1,1,2,4,5]",
+            "dab45a04ff1cc86c65a71301440ba6ebdbe01ca029611c48fa72d73b77e143ca",
+        ),
+        (
+            # Z-form coefficients near 10^10 make the simplex fields wide
+            "[1,2,3,100000]",
+            "971099718f390efdc66a4b274aded8935ad23661a042512b76733abae7530cf4",
         ),
     ],
 )

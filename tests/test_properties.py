@@ -2,6 +2,7 @@
 the exact-rational round trip, the covector kernels, and support validation."""
 
 import json
+import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -72,10 +73,24 @@ def random_systems(draw):
     return nvars, tuple(draw(st.lists(form, max_size=12)))
 
 
-@settings(max_examples=500, deadline=None)
-@given(random_systems())
-def test_feasible_matches_the_reference_simplex(case):
-    nvars, forms = case
+@st.composite
+def wide_systems(draw):
+    """1-8 variables, up to 16 forms, integer coefficients up to 10^12 in
+    absolute value next to small ones, and some fractions with denominators
+    up to 10^12: wide packed fields, and more rows than fit a narrow one."""
+    nvars = draw(st.integers(1, 8))
+    coefficient = st.one_of(
+        st.integers(-(10**12), 10**12),
+        st.integers(-3, 3),
+        st.fractions(
+            min_value=-(10**12), max_value=10**12, max_denominator=10**12
+        ),
+    )
+    form = st.lists(coefficient, min_size=1, max_size=nvars).map(tuple)
+    return nvars, tuple(draw(st.lists(form, max_size=16)))
+
+
+def _check_against_the_reference(nvars, forms):
     store, reference_store = {}, {}
     with time_limit(EXAMPLE_SECONDS):
         answer = feasible(StrictSystem(nvars, forms, store))
@@ -84,6 +99,51 @@ def test_feasible_matches_the_reference_simplex(case):
     assert answer == expected
     assert answer is None or all(type(x) is Fraction for x in answer)
     assert store == reference_store
+    return answer
+
+
+@settings(max_examples=500, deadline=None)
+@given(random_systems())
+def test_feasible_matches_the_reference_simplex(case):
+    _check_against_the_reference(*case)
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide_systems())
+def test_feasible_matches_the_reference_simplex_on_wide_systems(case):
+    _check_against_the_reference(*case)
+
+
+def test_coefficients_near_2_to_the_100_match_the_reference():
+    # entries this wide overflow any fixed 64-bit field; the packed rows
+    # size their fields from the forms of each system
+    rnd = random.Random(31)
+    verdicts = set()
+    for _ in range(40):
+        nvars = rnd.randint(2, 5)
+        forms = tuple(
+            tuple(
+                rnd.choice((-1, 0, 1)) * (2**100 - rnd.randint(0, 2**20))
+                for _ in range(nvars)
+            )
+            for _ in range(rnd.randint(2, 8))
+        )
+        verdicts.add(_check_against_the_reference(nvars, forms) is None)
+    assert verdicts == {True, False}
+
+
+def test_objective_row_sums_many_rows():
+    # the objective row adds up the rows of the basic artificials, so with
+    # many rows it holds entries far above any single row's
+    check = _check_against_the_reference
+    assert check(1, ((1,),) * 40) == (1,)
+    assert check(1, tuple((k,) for k in range(1, 41))) == (1,)
+    assert check(2, ((1, 1),) * 30 + ((-1, -1),)) is None
+    assert check(3, ((1, -1, 1),) * 20 + ((-1, 2, -1),) * 20) is not None
+    # zero forms make the width bound nearly tight: every minor is at most
+    # 1, and the objective's right-hand side is the number of rows
+    for m in (2, 3, 6, 7):
+        assert check(2, ((0, 0),) * m) is None
 
 
 @st.composite
