@@ -12,6 +12,8 @@ Each row is packed into one Python int, its right-hand side and its n
 entries in signed fields of one width, fixed per solve by a Hadamard bound
 on the minors the dictionary can hold; a pivot then updates a whole row with
 a few big-integer operations instead of one Python operation per entry.
+Each form's cleared integer form, 1-norm and packed row are cached, since
+the enumeration solves the same forms many times over.
 
 The search is a backtracking tree per subdivision W: hull constraints first
 (they kill most subdivisions cheaply), then k + 1 chains in turn, the root
@@ -25,11 +27,12 @@ met.  When phase 1 proves a system empty, its final objective row holds
 Farkas multipliers, and the rows they weight form an empty system on their
 own.  Each subdivision keeps these cores in a store shared by all of its
 systems, and a later system that contains a whole core is answered empty
-without pivoting.  Sums of the newest forms count as contained: a monomial
-chain p > q > r implies the comparison p > r, which a sibling branch may
-have proved contradictory (the learned explanations of Dutertre and de
-Moura's simplex-based solver).  A core is only ever a proof of emptiness, so
-the store changes no answer and no witness, only the time to reach it.
+without pivoting.  Z and each M^j are strict total orders, so a chain that
+has grown to p > q > r also implies the comparison p > r, which a sibling
+branch may have proved contradictory; every comparison a chain implies
+counts as contained (the learned explanations of Dutertre and de Moura's
+simplex-based solver).  A core is only ever a proof of emptiness, so the
+store changes no answer and no witness, only the time to reach it.
 
 A leaf's witness is nudged off the slope-tie walls by small shifts, and the
 ties are found on each candidate's cleared denominators in integer
@@ -41,11 +44,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from itertools import combinations, zip_longest
+from functools import cache, lru_cache, partial
+from itertools import combinations
 from math import lcm
 
-from .errors import SupportTooLarge
+from .errors import MorsekitError, SupportTooLarge
 from .rationals import clear_denominators, common_denominator
 from .tropical import CombinatorialType, Covector, SupportSet, extract
 
@@ -66,13 +69,24 @@ class StrictSystem:
     learned: dict[Form, list[frozenset[Form]]] | None = field(
         default=None, compare=False, repr=False
     )
+    # comparisons the forms imply (positive combinations of them), which the
+    # store counts as present; the last `fresh` of them came with the newest
+    implied: tuple[Form, ...] = field(default=(), compare=False, repr=False)
+    fresh: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
         if max(map(len, self.forms), default=0) > self.nvars:
             raise ValueError(f"a form has more than {self.nvars} coefficients")
 
-    def extended(self, extra) -> "StrictSystem":
-        return StrictSystem(self.nvars, self.forms + tuple(extra), self.learned)
+    def extended(self, extra, implied=()) -> "StrictSystem":
+        implied = tuple(implied)
+        return StrictSystem(
+            self.nvars,
+            self.forms + tuple(extra),
+            self.learned,
+            self.implied + implied,
+            len(implied),
+        )
 
     def holds_strictly(self, point) -> bool:
         # a positive scaling of the point keeps every sign
@@ -151,11 +165,10 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
     so the rows with y_i > 0 admit no point on their own.  With a store
     (`system.learned`), an empty answer records that core, and a system that
     contains a stored core is answered None before any dictionary is built.
-    Only cores indexed under the last form, or under its sums with the
-    1 .. nvars - 4 forms just before it, are looked up (see
-    `_stored_core_within`):
-    systems grow by appending to a feasible prefix, so only the newest form
-    can complete a core, and a miss merely solves.
+    The comparisons in `system.implied` count as contained, and cores are
+    looked up only under the last form and the comparisons that came with
+    it (see `_stored_core_within`): systems grow by appending to a feasible
+    prefix, so only these can complete a core, and a miss merely solves.
 
     The witness is a tuple of Fractions that also carries the simplex's
     integers, as `numerators` over `det`.
@@ -171,21 +184,18 @@ def _solve(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
     if not forms:
         return (1,) * n, 1
     learned = system.learned
-    if learned is not None and _stored_core_within(forms, n, learned):
+    if learned is not None and _stored_core_within(system):
         return None
-    if any(not isinstance(c, int) for form in forms for c in form):
-        # a positive scaling leaves each strict inequality as it was
-        forms = tuple(clear_denominators(f) for f in forms)
+    cleared = [_cleared(form) for form in forms]
     m = len(forms)
     artificial = n + m
-    norm = max(sum(map(abs, form)) for form in forms)
+    norm = max(norm for _, norm in cleared)
     width = ((m + 1) * (norm + 1) ** (n + 1)).bit_length() + 1
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     bias = sum(half << (width * j) for j in range(n + 1))
-    # slot k in field k + 1; the right-hand side 1 in field 0
     shifts = [width * (k + 1) for k in range(n)]
-    rows = [1 + sum(c << sh for c, sh in zip(form, shifts)) for form in forms]
+    rows = [_packed(integer, width) for integer, _ in cleared]
     # reduced costs of min(sum of artificials): the column sums
     obj = sum(rows)
     cols = list(range(n))
@@ -260,34 +270,40 @@ def _solve(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
     return tuple(numerators), det
 
 
-def _stored_core_within(
-    forms: tuple[Form, ...], nvars: int, learned: dict[Form, list[frozenset[Form]]]
-) -> bool:
-    """Whether a stored core lies within the forms and the newest one's sums.
+def _stored_core_within(system: StrictSystem) -> bool:
+    """Whether a stored core lies within the forms and the comparisons they imply.
 
-    Cores are looked up under the newest form, then under its sums with the
-    1 .. nvars - 4 forms just before it, and those sums count as present.
-    A sum of forms is positive wherever they all are, so a hit is a proof
-    of emptiness whatever the forms.  In the enumeration these are the sums
-    a monomial chain implies, _m_pair_form(p, q) + _m_pair_form(q, r) ==
-    _m_pair_form(p, r), and a chain has at most nvars - 3 links.
+    Every comparison in `system.implied` counts as present.  It is positive
+    wherever the forms are, so a hit is a proof of emptiness.  Cores are
+    looked up under the newest form and the comparisons that came with it
+    only: systems grow by appending to a feasible prefix, and no core lies
+    within what a feasible system implies, so any core that lies within
+    this one holds one of these keys.
     """
-    newest = forms[-1]
-    cores = learned.get(newest)
-    if cores:
-        present = set(forms)
-        if any(core <= present for core in cores):
-            return True
-    sums = []
-    total = newest
-    for form in forms[-2::-1][: max(nvars - 4, 0)]:
-        total = tuple(map(sum, zip_longest(total, form, fillvalue=0)))
-        sums.append(total)
-    cores = [core for total in sums for core in learned.get(total, ())]
+    implied = system.implied
+    keys = (system.forms[-1], *implied[len(implied) - system.fresh :])
+    learned = system.learned
+    cores = [core for key in keys for core in learned.get(key, ())]
     if not cores:
         return False
-    present = set(forms).union(sums)
+    present = set(system.forms).union(implied)
     return any(core <= present for core in cores)
+
+
+# The enumeration solves the same forms many times over, so each form's
+# cleared integer form and 1-norm, and its packed row per field width, are
+# computed once and kept in bounded caches.
+@lru_cache(maxsize=1 << 13)
+def _cleared(form: Form) -> tuple[Form, int]:
+    # a positive scaling leaves each strict inequality as it was
+    integer = clear_denominators(form)
+    return integer, sum(map(abs, integer))
+
+
+@lru_cache(maxsize=1 << 13)
+def _packed(integer: Form, width: int) -> int:
+    # slot k in field k + 1; the right-hand side 1 in field 0
+    return 1 + sum(c << width * (k + 1) for k, c in enumerate(integer))
 
 
 # --- constraint assembly ---------------------------------------------------------
@@ -350,15 +366,19 @@ def _m_pair_form(
 def _chains(support: SupportSet, w: tuple[int, ...]):
     """The k + 1 chains of a type over W: Z, then M^0 .. M^{k-1}.
 
-    Each is (its elements, the form of one adjacent pair (prev, cur)).  Z
+    Each is (its elements, its pair form, built once per ordered pair).  Z
     orders the roots 0 .. k-1; M^j orders the exponents off edge j.  A full
-    chain contributes pair_form(prev, cur) for each adjacent pair, in order.
+    chain contributes the form of each adjacent pair (prev, cur), in order,
+    and implies the form of every pair (x, y) with x before y: M pair forms
+    add up, M(p, q) + M(q, r) == M(p, r), and Z pair forms combine with the
+    positive weights d_i = w[i + 1] - w[i], d_r Z(p, q) + d_p Z(q, r) ==
+    d_q Z(p, r).
     """
     k = len(w) - 1
-    return [(tuple(range(k)), partial(_z_pair_form, support, w))] + [
+    return [(tuple(range(k)), cache(partial(_z_pair_form, support, w)))] + [
         (
             tuple(p for p in support.points if p != w[j] and p != w[j + 1]),
-            partial(_m_pair_form, support, w, j),
+            cache(partial(_m_pair_form, support, w, j)),
         )
         for j in range(k)
     ]
@@ -377,42 +397,64 @@ def _genericize(
 
     Simplex witnesses are corner solutions and frequently tie two segment
     slopes; adding eps, eps^2, ... for a small power of 1/2 stays inside the
-    open cone (the system forms are >= 1 there) while leaving every nonzero
-    linear form in finitely many bad positions.  The candidates are the
-    witness, then the shifts for eps = 2^-4, 2^-6, ..., 2^-198 that satisfy
-    the system strictly.  Each is tested for slope ties on its cleared
-    denominators, in integers; inside the open cone the strict hull, Z and M
-    forms exclude every other wall, so the first tie-free candidate is the
-    covector of `ctype`, which one `extract` confirms.
+    open cone while leaving every nonzero linear form in finitely many bad
+    positions.  The candidates are the witness, then the shifts for
+    eps = 2^-4, 2^-6, ... that satisfy the system strictly (see
+    `_exponents` for where the ladder ends).  Each is tested for slope ties
+    on its cleared denominators, in integers; inside the open cone the
+    strict hull, Z and M forms exclude every other wall, so the first
+    tie-free candidate is the covector of `ctype`, which one `extract`
+    confirms.
     """
-    for values, denominator in _candidates(system, point):
+    span = support.high - support.low
+    for values, denominator in _candidates(system, point, span):
         if not _slope_tie(support.points, values):
             if extract(support, Covector(support, values)) != ctype:
                 raise AssertionError("witness outside its cone (internal bug)")
             return Covector(
                 support, tuple(Fraction(x, denominator) for x in values)
             )
-    raise AssertionError("could not genericize witness (internal bug)")
+    raise MorsekitError("could not move a cone's witness off the slope ties")
 
 
-def _candidates(system: StrictSystem, point: tuple[Fraction, ...]):
+def _candidates(system: StrictSystem, point: tuple[Fraction, ...], span: int):
     """The witness, then its eps-shifts that satisfy the system strictly.
 
     Each comes as integers over one denominator: the shift by eps = 2^-e is
     the witness's cleared values times 2^(e n), plus den 2^(e (n - 1 - i))
-    at coordinate i, over den 2^(e n).
+    at coordinate i, over den 2^(e n).  See `_exponents` for the e tried.
     """
     den = common_denominator(point)
     scaled = clear_denominators(point)
     yield scaled, den
     n = len(scaled)
-    for exponent in range(4, 200, 2):
+    for exponent in _exponents(system, den, span):
         shifted = tuple(
             (x << exponent * n) + (den << exponent * (n - 1 - i))
             for i, x in enumerate(scaled)
         )
         if system.holds_strictly(shifted):
             yield shifted, den << exponent * n
+
+
+def _exponents(system: StrictSystem, den: int, span: int):
+    """e = 4, 6, ..., 198, then on while 2^e <= den max(N, 4 span).
+
+    N is the largest 1-norm of a system form, cleared of denominators, and
+    span the width of the support.  The last e tried, at least 198, has
+    2^e > den max(N, 4 span), and that shift is sure to work.  The witness
+    x has common denominator den, and each cleared form l has l(x) > 0, so
+    l(x) >= 1 / den, while the shift moves l by at most N eps < 1 / den.  A
+    slope tie (g(q) - g(p)) (s - r) = (g(s) - g(r)) (q - p) is a nonzero
+    integer form T of 1-norm at most 4 span: if T(x) != 0 then
+    |T(x)| >= 1 / den > 4 span eps; if T(x) = 0, the lowest power
+    eps^(i + 1) with T_i != 0 outweighs all the higher ones, which sum to at
+    most 4 span eps^(i + 2).
+    """
+    yield from range(4, 200, 2)
+    norm = max((_cleared(form)[1] for form in system.forms), default=0)
+    limit = (den * max(norm, 4 * span)).bit_length()
+    yield from range(200, limit + 2, 2)
 
 
 def _slope_tie(points: tuple[int, ...], values: tuple[int, ...]) -> bool:
@@ -428,14 +470,17 @@ def _slope_tie(points: tuple[int, ...], values: tuple[int, ...]) -> bool:
     return len(slopes) < len(pairs)
 
 
-def _extend(system: StrictSystem, witness, extra: list[Form]):
+def _extend(
+    system: StrictSystem, witness, extra: list[Form], implied: list[Form]
+):
     """Add forms to a feasible (system, witness) pair, re-solving lazily.
 
     witness comes from `feasible`; the parent witness usually satisfies the
     new form already, which its integer numerators show, so the exact
-    simplex runs only when it does not.
+    simplex runs only when it does not.  `implied` are the comparisons the
+    new forms imply with the old ones (see `StrictSystem.implied`).
     """
-    child = system.extended(extra)
+    child = system.extended(extra, implied)
     numerators = witness.numerators
     if all(sum(c * x for c, x in zip(form, numerators)) > 0 for form in extra):
         return child, witness
@@ -451,10 +496,11 @@ def _subdivision_types(
     each monomial chain M^j.  A chain grows one unused element at a time, in
     the order of its elements, and each extension adds the form comparing
     the new element with its predecessor, pruning where the system turns
-    empty.  Witnesses are inherited down the tree, so a node pays for a
-    simplex solve only when its parent's witness violates the newly added
-    form.  Every system of the call shares one store of Farkas cores (see
-    `feasible`), which lives exactly as long as the call.
+    empty; the forms comparing it with the earlier elements go along as
+    implied comparisons.  Witnesses are inherited down the tree, so a node
+    pays for a simplex solve only when its parent's witness violates the
+    newly added form.  Every system of the call shares one store of Farkas
+    cores (see `feasible`), which lives exactly as long as the call.
     """
     base = StrictSystem(len(support), tuple(_hull_forms(support, w)), {})
     base_witness = feasible(base)
@@ -477,7 +523,8 @@ def _subdivision_types(
             if nxt in chain:
                 continue
             extra = [pair_form(chain[-1], nxt)] if chain else []
-            child, child_witness = _extend(system, witness, extra)
+            implied = [pair_form(x, nxt) for x in chain[:-1]]
+            child, child_witness = _extend(system, witness, extra, implied)
             if child_witness is not None:
                 grow(done, chain + (nxt,), child, child_witness)
 

@@ -86,6 +86,26 @@ def test_root_past_the_digit_limit_exit_one(capsys):
     assert err == "error: a number has more than 4300 digits\n"
 
 
+HUGE = '{"A": [1, 2, 3, %d]}' % (10**60 + 1)
+
+
+@pytest.mark.parametrize("command", ["polytope", "enumerate", "verify"])
+def test_support_entry_of_61_digits(capsys, command):
+    # the forms' coefficients reach 10^60, so every shift eps >= 2^-198 of
+    # a witness leaves its cone, and the ladder must go on to smaller eps
+    code, out, err = run(capsys, command, HUGE, "--format", "json")
+    assert code == 0 and err == ""
+    if command == "enumerate":
+        assert json.loads(out)["count"] == 10
+
+
+def test_witness_left_on_a_slope_tie_exit_one(capsys, monkeypatch):
+    monkeypatch.setattr("morsekit.cones._slope_tie", lambda points, values: True)
+    code, out, err = run(capsys, "polytope", '{"A": [1, 2, 3, 4]}')
+    assert code == 1 and out == ""
+    assert err == "error: could not move a cone's witness off the slope ties\n"
+
+
 def test_rational_gamma_strings(capsys):
     code, out, _ = run(
         capsys,

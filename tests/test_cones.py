@@ -105,8 +105,8 @@ def test_stored_core_answers_without_solving():
     grown = StrictSystem(2, ((0, 1),), store).extended([(1, 0)])
     assert grown.learned is store
     assert feasible(grown) is None
-    # only cores under the last form (or, from 5 variables on, its sums
-    # with the forms before it) are looked up; anything else solves
+    # only cores under the last form (and the comparisons that came with
+    # it) are looked up; anything else solves
     witness = feasible(StrictSystem(2, ((1, 0), (0, 1)), store))
     assert witness == feasible(StrictSystem(2, ((1, 0), (0, 1))))
     assert witness is not None
@@ -120,41 +120,66 @@ def _add(*forms):
     return tuple(map(sum, zip(*forms)))
 
 
-def test_core_under_a_sum_answers_without_solving():
-    # a deliberately false core stored only under f1 + f2
+def _times(c, form):
+    return tuple(c * x for x in form)
+
+
+def test_core_under_an_implied_comparison_answers_without_solving():
+    # deliberately false cores stored only under the comparison f1 + f2,
+    # which came with the newest form f2
     f0, f1, f2 = _unit(0), _unit(1), _unit(2)
-    store = {_add(f1, f2): [frozenset({_add(f1, f2)})]}
-    grown = StrictSystem(6, (f0, f1), store).extended([f2])
-    assert feasible(grown) is None
-    assert feasible(StrictSystem(6, (f0, f1, f2))) is not None
-    # the sum of the newest form with the two before it, at 6 variables
-    store = {_add(f0, f1, f2): [frozenset({_add(f0, f1, f2), f0})]}
-    assert feasible(StrictSystem(6, (f0, f1, f2), store)) is None
+    implied = _add(f1, f2)
+    for core in ({implied}, {implied, f0}):
+        store = {implied: [frozenset(core)]}
+        grown = StrictSystem(6, (f0, f1), store).extended([f2], [implied])
+        assert (grown.implied, grown.fresh) == ((implied,), 1)
+        assert feasible(grown) is None
+        assert feasible(StrictSystem(6, grown.forms)) is not None
+    # comparisons that came with older forms count as present too
+    older = _add(f0, f1)
+    store = {implied: [frozenset({implied, older})]}
+    system = StrictSystem(6, (f0,), store).extended([f1], [older])
+    assert feasible(system.extended([f2], [implied])) is None
 
 
-def test_sums_past_the_bound_are_not_looked_up():
-    f0, f1, f2, f3 = (_unit(i) for i in range(4))
-    # 6 variables allow the newest form plus at most the 2 before it
-    store = {_add(f0, f1, f2, f3): [frozenset({_add(f0, f1, f2, f3)})]}
-    assert feasible(StrictSystem(6, (f0, f1, f2, f3), store)) is not None
-    # 5 variables allow a sum of two forms, 4 variables none
-    store = {_add(f1, f2): [frozenset({_add(f1, f2)})]}
-    assert feasible(StrictSystem(6, (f1, f2), store)) is None
-    five = tuple(f[:5] for f in (f0, f1, f2))
-    store = {_add(*five): [frozenset({_add(*five)})]}
-    assert feasible(StrictSystem(5, five, store)) is not None
-    four = tuple(f[:4] for f in (f1, f2))
-    store = {_add(*four): [frozenset({_add(*four)})]}
-    assert feasible(StrictSystem(4, four, store)) is not None
+def test_older_implied_comparisons_are_not_looked_up():
+    f0, f1, f2 = _unit(0), _unit(1), _unit(2)
+    older, implied = _add(f0, f1), _add(f1, f2)
+    # a core reachable only through the comparison that came with f1
+    store = {older: [frozenset({older})]}
+    system = StrictSystem(6, (f0,), store).extended([f1], [older])
+    grown = system.extended([f2], [implied])
+    assert (grown.implied, grown.fresh) == ((older, implied), 1)
+    assert feasible(grown) == feasible(StrictSystem(6, grown.forms))
+    assert feasible(grown) is not None
+    # a form added without comparisons brings none
+    assert system.extended([f2]).fresh == 0
+    assert feasible(system.extended([f2])) is not None
 
 
-def test_sums_pad_shorter_forms():
-    # (1,) + (0, 1) is the form (1, 1), not the truncation (1,)
-    forms = ((1,), (0, 1))
-    store = {(1, 1): [frozenset({(1, 1)})]}
-    assert feasible(StrictSystem(5, forms, store)) is None
-    store = {(1,): [frozenset({(1,)})]}
-    assert feasible(StrictSystem(5, forms, store)) is not None
+@pytest.mark.parametrize(
+    "points",
+    [[1, 2, 3, 4, 5, 6], [-3, -1, 1, 2, 4, 5]],
+    ids=lambda points: ",".join(map(str, points)),
+)
+def test_chains_imply_every_pair_form(points):
+    # a chain's forms imply the comparison of every pair x before y as a
+    # positive combination of the adjacent ones: M pair forms add up, and
+    # Z pair forms combine with weights d_i = w[i + 1] - w[i]
+    support = validate_support(points)
+    triples = 0
+    for w in cones._all_subdivisions(support):
+        (_, z), *ms = cones._chains(support, w)
+        d = [b - a for a, b in zip(w, w[1:])]
+        for p, q, r in itertools.permutations(range(len(w) - 1), 3):
+            combined = _add(_times(d[r], z(p, q)), _times(d[p], z(q, r)))
+            assert combined == _times(d[q], z(p, r))
+            triples += 1
+        for elements, m in ms:
+            for p, q, r in itertools.permutations(elements, 3):
+                assert _add(m(p, q), m(q, r)) == m(p, r)
+                triples += 1
+    assert triples > 1000
 
 
 def test_store_is_not_part_of_the_system_value():
@@ -259,6 +284,35 @@ def test_tree_leaves_carry_the_cone_constraints(monkeypatch, points):
     assert [ctype for ctype, _ in leaves] == [ctype for ctype, _ in enumerated]
     for ctype, forms in leaves:
         assert forms == cone_constraints(support, ctype).forms
+
+
+@pytest.mark.parametrize(
+    "points,solved",
+    [([1, 2, 3, 4], 24), ([2, 3, 4, 6], 25), ([-3, -1, 1, 2, 4], 379)],
+    ids=lambda arg: ",".join(map(str, arg)) if isinstance(arg, list) else None,
+)
+def test_tree_answers_match_storeless_solves(monkeypatch, points, solved):
+    # every answer the tree gets, from the store or from pivoting, is the
+    # one the same forms get without a store; `solved` counts the systems
+    # the store did not answer, so a change to the store shows up here
+    answers, hits = [], []
+    lookup = cones._stored_core_within
+
+    def recording_lookup(system):
+        hits.append(lookup(system))
+        return hits[-1]
+
+    def recording_feasible(system):
+        answers.append((system, feasible(system)))
+        return answers[-1][1]
+
+    monkeypatch.setattr(cones, "_stored_core_within", recording_lookup)
+    monkeypatch.setattr(cones, "feasible", recording_feasible)
+    enumerate_types(validate_support(points))
+    assert answers and all(system.learned is not None for system, _ in answers)
+    for system, answer in answers:
+        assert answer == feasible(StrictSystem(system.nvars, system.forms))
+    assert len(answers) - sum(hits) == solved
 
 
 def test_infeasible_root_order_for_positive_support():

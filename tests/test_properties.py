@@ -102,13 +102,15 @@ def _check_against_the_reference(nvars, forms):
     return answer
 
 
-@settings(max_examples=500, deadline=None)
+# one shrunk failure is enough: a pivot bug tends to show up as several
+# distinct errors, and shrinking each of them takes minutes
+@settings(max_examples=500, deadline=None, report_multiple_bugs=False)
 @given(random_systems())
 def test_feasible_matches_the_reference_simplex(case):
     _check_against_the_reference(*case)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, report_multiple_bugs=False)
 @given(wide_systems())
 def test_feasible_matches_the_reference_simplex_on_wide_systems(case):
     _check_against_the_reference(*case)
@@ -152,13 +154,14 @@ def branching_systems(draw, nvars):
 
     The enumeration grows systems the same way: every branch starts from one
     base and appends one form at a time, and all of them share one store.
+    A branch is a list of (form, the comparisons it implies), here none.
     """
     nvars = draw(nvars)
     form = st.tuples(*[st.integers(-3, 3)] * nvars)
     base = draw(st.lists(form, max_size=3))
     room = MAX_FORMS - len(base)
     branches = draw(st.lists(st.lists(form, min_size=1, max_size=room), min_size=1, max_size=4))
-    return nvars, tuple(base), branches
+    return nvars, tuple(base), [[(f, ()) for f in branch] for branch in branches]
 
 
 @st.composite
@@ -166,18 +169,23 @@ def chain_systems(draw):
     """A branch that holds the sum of a chain of forms, then the chain itself.
 
     In the enumeration a sibling compares p with r directly, and a chain
-    p > q > r appends the two forms whose sum that comparison is; from 5
-    variables on the store looks cores up under such sums.  The negated sum,
-    sometimes in the base or the sibling, makes small empty cores common.
+    p > q > r appends the two forms whose sum that comparison is, and
+    implies the sum.  Here each form of the chain implies its sums with the
+    forms before it.  The negated sum, sometimes in the base or the
+    sibling, makes small empty cores common.
     """
-    nvars = draw(st.integers(5, 6))
+    nvars = draw(st.integers(2, 6))
     random_form = st.tuples(*[st.integers(-3, 3)] * nvars)
-    chain = draw(st.lists(random_form, min_size=2, max_size=nvars - 3))
+    chain = draw(st.lists(random_form, min_size=2, max_size=4))
     total = tuple(map(sum, zip(*chain)))
     form = st.one_of(random_form, st.just(tuple(-c for c in total)))
     base = draw(st.lists(form, max_size=2))
     sibling = draw(st.permutations([total, *draw(st.lists(form, min_size=1, max_size=3))]))
-    return nvars, tuple(base), [sibling, chain]
+    grown = [
+        (f, [tuple(map(sum, zip(*chain[j : i + 1]))) for j in range(i)])
+        for i, f in enumerate(chain)
+    ]
+    return nvars, tuple(base), [[(f, ()) for f in sibling], grown]
 
 
 def _grow(nvars, base, branches, store):
@@ -185,17 +193,12 @@ def _grow(nvars, base, branches, store):
     for branch in branches:
         system = StrictSystem(nvars, base, store)
         yield system, feasible(system)
-        for extra in branch:
-            system = system.extended([extra])
+        for extra, implied in branch:
+            system = system.extended([extra], implied)
             yield system, feasible(system)
 
 
-# from 5 variables on the store also looks up sums of the newest forms
-grown_systems = st.one_of(
-    branching_systems(st.integers(2, 4)),
-    branching_systems(st.integers(5, 6)),
-    chain_systems(),
-)
+grown_systems = st.one_of(branching_systems(st.integers(2, 6)), chain_systems())
 
 
 @settings(max_examples=500, deadline=None)
