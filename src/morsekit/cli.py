@@ -22,7 +22,7 @@ from .rationals import rational_to_json
 from .singularity import (
     c_coeffs,
     c_value,
-    c_value_via_levels_scaled,
+    c_value_via_levels,
     gcd_ladder,
     level_scan,
 )
@@ -138,11 +138,20 @@ def cmd_mu(args) -> int:
     return 0
 
 
+# An i_sequence has one entry per lattice level, and the number of levels
+# grows linearly with gamma's entries (up to about 7 million at entries near
+# 10^6), as does the memory to print them: 10^7 entries take about 130 MB
+# and 20 MB of output.  Past that many in all, `cj --format json` refuses
+# rather than run out of memory; `--format text` prints no sequence.
+_MAX_I_SEQUENCE = 10**7
+
+
 def cmd_cj(args) -> int:
     support, gamma = _load_input(args.input)
     gamma = _need_gamma(gamma)
     ctype = extract(support, gamma)
     rows = []
+    entries = 0
     for j in range(ctype.k):
         coeffs = c_coeffs(support, ctype, j)
         value = c_value(support, gamma, ctype, j)
@@ -152,13 +161,20 @@ def cmd_cj(args) -> int:
             "value": rational_to_json(value),
             "ladder": list(gcd_ladder(ctype.w, j, ctype.m[j])),
             "level_route_value": rational_to_json(
-                c_value_via_levels_scaled(support, gamma, ctype, j)
+                c_value_via_levels(support, gamma, ctype, j)
             ),
         }
         if gamma.is_integral():
-            seq, ff = level_scan(support, gamma, ctype, j)
-            entry["i_sequence"] = list(seq)
+            runs, ff = level_scan(support, gamma, ctype, j)
             entry["facet_volume"] = ff.volume
+            if args.format == "json":
+                entries += sum(count for _, count in runs)
+                if entries > _MAX_I_SEQUENCE:
+                    raise MorsekitError(
+                        f"the i_sequences have more than {_MAX_I_SEQUENCE} "
+                        "entries; use --format text"
+                    )
+                entry["i_sequence"] = [i for i, count in runs for _ in range(count)]
         rows.append(entry)
     text = "\n".join(
         f"C^{row['j']}: value={row['value']} coeffs={row['coeffs']}" for row in rows
@@ -195,6 +211,11 @@ def cmd_enumerate(args) -> int:
     types = enumerate_types(
         support, max_support_size=args.max_support_size, jobs=_jobs(args)
     )
+    # the number of forms depends on W alone: one cone system per subdivision
+    constraints = {}
+    for ctype, _ in types:
+        if ctype.w not in constraints:
+            constraints[ctype.w] = len(cone_constraints(support, ctype).forms)
     payload = {
         "A": list(support.points),
         "count": len(types),
@@ -202,7 +223,7 @@ def cmd_enumerate(args) -> int:
             {
                 **ctype.to_json(),
                 "witness": witness.to_json(),
-                "constraints": len(cone_constraints(support, ctype).forms),
+                "constraints": constraints[ctype.w],
             }
             for ctype, witness in types
         ],

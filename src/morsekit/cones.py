@@ -49,7 +49,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import MorsekitError, SupportTooLarge
-from .rationals import clear_denominators, common_denominator
+from .rationals import clear_denominators
 from .tropical import CombinatorialType, Covector, SupportSet, extract
 
 Form = tuple[int, ...]
@@ -390,7 +390,7 @@ def _chains(support: SupportSet, w: tuple[int, ...]):
 def _genericize(
     support: SupportSet,
     system: StrictSystem,
-    point: tuple[Fraction, ...],
+    witness: _Witness,
     ctype: CombinatorialType,
 ) -> Covector:
     """Nudge a feasibility witness off the measure-zero slope-tie walls.
@@ -407,7 +407,7 @@ def _genericize(
     confirms.
     """
     span = support.high - support.low
-    for values, denominator in _candidates(system, point, span):
+    for values, denominator in _candidates(system, witness, span):
         if not _slope_tie(support.points, values):
             if extract(support, Covector(support, values)) != ctype:
                 raise AssertionError("witness outside its cone (internal bug)")
@@ -417,24 +417,23 @@ def _genericize(
     raise MorsekitError("could not move a cone's witness off the slope ties")
 
 
-def _candidates(system: StrictSystem, point: tuple[Fraction, ...], span: int):
+def _candidates(system: StrictSystem, witness: _Witness, span: int):
     """The witness, then its eps-shifts that satisfy the system strictly.
 
     Each comes as integers over one denominator: the shift by eps = 2^-e is
-    the witness's cleared values times 2^(e n), plus den 2^(e (n - 1 - i))
-    at coordinate i, over den 2^(e n).  See `_exponents` for the e tried.
+    the witness's numerators times 2^(e n), plus det 2^(e (n - 1 - i)) at
+    coordinate i, over det 2^(e n).  See `_exponents` for the e tried.
     """
-    den = common_denominator(point)
-    scaled = clear_denominators(point)
-    yield scaled, den
-    n = len(scaled)
-    for exponent in _exponents(system, den, span):
+    numerators, det = witness.numerators, witness.det
+    yield numerators, det
+    n = len(numerators)
+    for exponent in _exponents(system, det, span):
         shifted = tuple(
-            (x << exponent * n) + (den << exponent * (n - 1 - i))
-            for i, x in enumerate(scaled)
+            (x << exponent * n) + (det << exponent * (n - 1 - i))
+            for i, x in enumerate(numerators)
         )
         if system.holds_strictly(shifted):
-            yield shifted, den << exponent * n
+            yield shifted, det << exponent * n
 
 
 def _exponents(system: StrictSystem, den: int, span: int):
@@ -443,7 +442,7 @@ def _exponents(system: StrictSystem, den: int, span: int):
     N is the largest 1-norm of a system form, cleared of denominators, and
     span the width of the support.  The last e tried, at least 198, has
     2^e > den max(N, 4 span), and that shift is sure to work.  The witness
-    x has common denominator den, and each cleared form l has l(x) > 0, so
+    x is integers over den, and each cleared form l has l(x) > 0, so
     l(x) >= 1 / den, while the shift moves l by at most N eps < 1 / den.  A
     slope tie (g(q) - g(p)) (s - r) = (g(s) - g(r)) (q - p) is a nonzero
     integer form T of 1-norm at most 4 span: if T(x) != 0 then
@@ -451,10 +450,9 @@ def _exponents(system: StrictSystem, den: int, span: int):
     eps^(i + 1) with T_i != 0 outweighs all the higher ones, which sum to at
     most 4 span eps^(i + 2).
     """
-    yield from range(4, 200, 2)
     norm = max((_cleared(form)[1] for form in system.forms), default=0)
     limit = (den * max(norm, 4 * span)).bit_length()
-    yield from range(200, limit + 2, 2)
+    yield from range(4, max(200, limit + 2), 2)
 
 
 def _slope_tie(points: tuple[int, ...], values: tuple[int, ...]) -> bool:

@@ -166,11 +166,6 @@ def vol_fiber_closed(
     return total
 
 
-def vol_fiber_trapezoids(support: SupportSet, gamma: Covector) -> Fraction:
-    """Lattice area of the fiber polygon summed trapezoid by trapezoid."""
-    return fiber_polygon(support, gamma).area()
-
-
 @dataclass(frozen=True)
 class StrataCounts:
     """Counts of the codimension-2 multisingularity strata over one covector.

@@ -8,7 +8,9 @@ Two independent routes compute it:
     each monomial by the drop in the ladder;
   * the level route: slide the edge's facet hyperplane through the lifted
     support one lattice level at a time, tracking the gcd of the first
-    coordinates swept up so far.
+    coordinates swept up so far.  The gcd changes only at levels that hold
+    a lifted point, so the sequence is kept as runs of equal entries, and
+    the scan's cost does not grow with gamma's entries.
 
 The routes must agree exactly; the verify machinery compares them on every
 sampled covector and surfaces any discrepancy instead of reconciling it.
@@ -148,48 +150,44 @@ def facet_functional(
 
 def level_scan(
     support: SupportSet, gamma: Covector, ctype: CombinatorialType, j: int
-) -> tuple[tuple[int, ...], FacetFunctional]:
+) -> tuple[tuple[tuple[int, int], ...], FacetFunctional]:
     """Fork sequence of facet j by sweeping its hyperplane down the levels.
 
     Level l of the sweep accumulates every lifted-support point at reduced
     height >= level - (l - 1); the l-th entry is the gcd of the accumulated
-    first coordinates.  The scan stops at the first 1.
+    first coordinates.  The scan stops at the first 1.  The sequence has one
+    entry per lattice level, so its length grows with gamma's entries; it
+    is returned run-length encoded, as ((entry, count), ...), and the scan
+    visits only the levels that hold a lifted point.
     """
     ff = facet_functional(support, gamma, ctype, j)
     h1, h2, h3 = ff.coeffs
     by_level: dict[int, list[int]] = {}
     for x, y, z in _lifted_support(support, gamma):
         by_level.setdefault(h1 * x + h2 * y + h3 * z, []).append(x)
-    floor = min(by_level)
-    seq = []
+    levels = sorted(by_level, reverse=True)
+    # entry -> count; each new entry divides the last, so runs never recur
+    runs: dict[int, int] = {}
     g = 0
-    level = ff.level
-    while True:
-        for x in by_level.get(level, ()):
+    for level, below in zip(levels, levels[1:] + [levels[-1] - 1]):
+        for x in by_level[level]:
             g = gcd(g, abs(x))
-        seq.append(g)
         if g == 1:
-            return tuple(seq), ff
-        if level < floor:
-            raise AssertionError(
-                "level scan ran past the support without reaching gcd 1"
-            )
-        level -= 1
+            runs[1] = 1
+            return tuple(runs.items()), ff
+        # the entry holds from this level down to the next one with a point
+        runs[g] = runs.get(g, 0) + level - below
+    raise AssertionError("level scan ran past the support without reaching gcd 1")
 
 
 def c_value_via_levels(
     support: SupportSet, gamma: Covector, ctype: CombinatorialType, j: int
 ) -> Fraction:
-    """C^j through the level route: -Vol(facet) * sum_l (i_l - 1)."""
-    seq, ff = level_scan(support, gamma, ctype, j)
-    return Fraction(-ff.volume * sum(i - 1 for i in seq))
+    """C^j through the level route: -Vol(facet) * sum_l (i_l - 1).
 
-
-def c_value_via_levels_scaled(
-    support: SupportSet, gamma: Covector, ctype: CombinatorialType, j: int
-) -> Fraction:
-    """Level-route C^j for rational gamma, via scaling and linearity."""
-    if gamma.is_integral():
-        return c_value_via_levels(support, gamma, ctype, j)
+    C^j is linear in gamma, so a rational gamma is scaled to integers by its
+    common denominator q, and the value is divided by q.
+    """
     q = common_denominator(gamma.values)
-    return c_value_via_levels(support, gamma.scaled(q), ctype, j) / q
+    runs, ff = level_scan(support, gamma.scaled(q), ctype, j)
+    return Fraction(-ff.volume * sum((i - 1) * count for i, count in runs), q)

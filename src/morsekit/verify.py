@@ -26,9 +26,9 @@ from .errors import DegeneracyError
 from .fiber import (
     area_newton,
     area_newton_formula,
+    fiber_polygon,
     strata_counts,
     vol_fiber_closed,
-    vol_fiber_trapezoids,
 )
 from .polytope import MorsePolytope
 from .singularity import c_value, c_value_via_levels, gcd_ladder, level_scan
@@ -37,24 +37,12 @@ from .tropical import Covector, SupportSet, extract
 
 
 def sample_morse_covector(
-    support: SupportSet,
-    rng: random.Random,
-    *,
-    bound: int = 50,
-    rational: bool = False,
+    support: SupportSet, rng: random.Random, *, bound: int = 50
 ) -> tuple[Covector, int]:
     """A Morse covector from the seeded grid, plus the resample count."""
     resamples = 0
     while True:
-        if rational:
-            values = tuple(
-                Fraction(rng.randint(0, 4 * bound), rng.randint(1, 12))
-                for _ in support.points
-            )
-        else:
-            values = tuple(
-                Fraction(rng.randint(0, bound)) for _ in support.points
-            )
+        values = tuple(Fraction(rng.randint(0, bound)) for _ in support.points)
         gamma = Covector(support, values)
         try:
             extract(support, gamma)
@@ -147,13 +135,14 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
             f"max={best} mu={mu} own={own} argmax_count={argmax_count}",
         )
 
+        corrections = [c_value(support, gamma, ctype, j) for j in range(ctype.k)]
         ok = True
         detail = ""
-        for j in range(ctype.k):
-            lhs = c_value(support, gamma, ctype, j)
+        for j, lhs in enumerate(corrections):
             rhs = c_value_via_levels(support, gamma, ctype, j)
             if lhs != rhs:
-                seq, _ = level_scan(support, gamma, ctype, j)
+                runs, _ = level_scan(support, gamma, ctype, j)
+                seq = tuple(i for i, count in runs for _ in range(count))
                 ladder = gcd_ladder(ctype.w, j, ctype.m[j])
                 ok = False
                 detail = (
@@ -164,7 +153,7 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
         dual_c.record(ok, gamma, detail)
 
         closed = vol_fiber_closed(support, gamma, ctype)
-        stacked = vol_fiber_trapezoids(support, gamma)
+        stacked = fiber_polygon(support, gamma).area()
         dual_vol.record(closed == stacked, gamma, f"closed={closed} stack={stacked}")
 
         shoelace = area_newton(support, gamma)
@@ -182,12 +171,8 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
         # third relation, endpoint constants rebased to the raw convention
         c1_raw = shift.c1 - 3 * w0 - 2
         c2_raw = shift.c2 + 3 * wk - 2
-        corrections = sum(
-            (c_value(support, gamma, ctype, j) for j in range(ctype.k)),
-            start=Fraction(0),
-        )
         eq3 = counts.chi_a1 - counts.n_a2 == (
-            -stacked - c1_raw * gamma(w0) - c2_raw * gamma(wk) - corrections
+            -stacked - c1_raw * gamma(w0) - c2_raw * gamma(wk) - sum(corrections)
         )
         # the shift moves mu, hence 2*n_2a1, by c1*gamma(w0) + c2*gamma(wk);
         # parity is a property of the (0, 0) convention

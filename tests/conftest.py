@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -29,3 +31,23 @@ def deg4_gamma(deg4_support):
 
 def dot(coeffs, values) -> Fraction:
     return sum((Fraction(c) * v for c, v in zip(coeffs, values)), start=Fraction(0))
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body after `seconds` of wall-clock time."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        # raised afresh: the frame the signal interrupted can lack a line
+        # number, which pytest cannot render
+        raise TimeoutError(f"example ran longer than {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

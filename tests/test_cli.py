@@ -11,6 +11,8 @@ import pytest
 
 from morsekit.cli import main
 
+from conftest import time_limit
+
 MIXED = '{"A": [-3, -1, 1, 2, 4], "gamma": [3, 5, 2, 5, 1]}'
 
 
@@ -184,10 +186,64 @@ def test_cj_rational_input_uses_scaled_level_route(capsys):
         assert "i_sequence" not in row
 
 
+def test_cj_large_integer_covector(capsys):
+    # about 3.4 * 10^12 lattice levels: text needs no sequence, and the JSON
+    # one is refused instead of exhausting memory
+    big = '{"A": [2,3,4,6], "gamma": [%d,%d,%d,%d]}' % tuple(
+        v * 10**6 for v in (889313, 32852, 831187, 868050)
+    )
+    with time_limit(5):
+        code, out, _ = run(capsys, "cj", big, "--format", "text")
+        assert code == 0 and out.startswith("C^0: value=-3404581000000 ")
+        code, out, err = run(capsys, "cj", big, "--format", "json")
+        assert code == 1 and out == "" and "i_sequences" in err
+
+
 def test_fiber_svg(capsys):
     code, out, _ = run(capsys, "fiber", MIXED, "--format", "svg")
     assert code == 0
     assert out.count('class="base"') == 4
+
+
+def test_fiber_json_and_text(capsys):
+    code, out, _ = run(capsys, "fiber", MIXED, "--format", "json")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["bases"] == [58, 43, 31, 13]
+    assert blob["heights"] == [3, 2, 2]
+    assert blob["volume_closed"] == blob["volume_trapezoids"] == 539
+    code, out, _ = run(capsys, "fiber", MIXED, "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [
+        "bases: [58, 43, 31, 13]",
+        "heights: [3, 2, 2]",
+        "volume: 539",
+    ]
+
+
+def test_svg_subcommands_agree(capsys):
+    support = '{"A": [-3,-1,1,2,4]}'
+    _, polytope_svg, _ = run(capsys, "polytope", support, "--format", "svg")
+    _, plot_svg, _ = run(capsys, "plot", support)
+    assert polytope_svg == plot_svg and polytope_svg.startswith("<svg")
+    _, fiber_svg, _ = run(capsys, "fiber", MIXED, "--format", "svg")
+    _, plot_svg, _ = run(capsys, "plot", MIXED)
+    assert fiber_svg == plot_svg and fiber_svg.startswith("<svg")
+
+
+def test_axes_flag(capsys):
+    support = '{"A": [-3,-1,1,2,4]}'
+    code, default, _ = run(capsys, "polytope", support, "--format", "svg")
+    assert code == 0
+    code, chosen, _ = run(
+        capsys, "polytope", support, "--format", "svg", "--axes", "1,2"
+    )
+    assert code == 0 and chosen.startswith("<svg") and chosen != default
+    for axes in ("1", "1,2,3", "a,b"):
+        code, out, err = run(
+            capsys, "polytope", support, "--format", "svg", "--axes", axes
+        )
+        assert code == 1 and out == "" and "--axes must be 'i,j'" in err
 
 
 def test_enumerate_output(capsys):
@@ -265,6 +321,12 @@ def test_jobs_below_one_exit_one(capsys, monkeypatch, flag, env):
     argv = ["enumerate", '{"A": [1,2,3,4]}'] + (["--jobs", flag] if flag else [])
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and ">= 1" in err
+
+
+def test_jobs_env_not_an_integer_exit_one(capsys, monkeypatch):
+    monkeypatch.setenv("MORSEKIT_JOBS", "abc")
+    code, out, err = run(capsys, "enumerate", '{"A": [1,2,3,4]}')
+    assert code == 1 and out == "" and "MORSEKIT_JOBS must be an integer" in err
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from morsekit import (
     strata_counts,
     validate_support,
     vol_fiber_closed,
-    vol_fiber_trapezoids,
 )
 
 
@@ -113,12 +112,12 @@ def test_volume_mixed_example(mixed_support, mixed_gamma):
     assert vol_fiber_closed(mixed_support, mixed_gamma) == 539
     # trapezoids: (58+43)*3 + (43+31)*2 + (31+13)*2
     assert (58 + 43) * 3 + (43 + 31) * 2 + (31 + 13) * 2 == 539
-    assert vol_fiber_trapezoids(mixed_support, mixed_gamma) == 539
+    assert fiber_polygon(mixed_support, mixed_gamma).area() == 539
 
 
 def test_volume_homogeneous(mixed_support, mixed_gamma):
     assert vol_fiber_closed(mixed_support, mixed_gamma.scaled(2)) == 2 * 539
-    assert vol_fiber_trapezoids(mixed_support, mixed_gamma.scaled(2)) == 2 * 539
+    assert fiber_polygon(mixed_support, mixed_gamma.scaled(2)).area() == 2 * 539
 
 
 def test_volume_routes_agree_on_samples():
@@ -127,9 +126,9 @@ def test_volume_routes_agree_on_samples():
         support = validate_support(pts)
         for _ in range(30):
             gamma, _ = sample_morse_covector(support, rnd, bound=40)
-            assert vol_fiber_closed(support, gamma) == vol_fiber_trapezoids(
+            assert vol_fiber_closed(support, gamma) == fiber_polygon(
                 support, gamma
-            )
+            ).area()
 
 
 def _positive_volume_closed_form(gamma, w):
@@ -155,7 +154,7 @@ def test_volume_positive_support_closed_form():
             w = extract(support, gamma).w
             expected = _positive_volume_closed_form(gamma, list(w))
             assert vol_fiber_closed(support, gamma) == expected
-            assert vol_fiber_trapezoids(support, gamma) == expected
+            assert fiber_polygon(support, gamma).area() == expected
 
 
 def test_fiber_polygon_single_root_mixed_support():
@@ -205,7 +204,7 @@ def test_volume_unit_range_closed_form():
                 + sum(2 * (3 * m - 2) * gamma(m) for m in range(2, n))
             )
             assert vol_fiber_closed(support, gamma) == expected
-            assert vol_fiber_trapezoids(support, gamma) == expected
+            assert fiber_polygon(support, gamma).area() == expected
             found += 1
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from morsekit import (
     BadAxes,
+    CombinatorialType,
     ShiftConfig,
     build_polytope,
     convex_hull_2d,
@@ -56,6 +57,8 @@ def test_cone_vertex_lookup(mixed_support, mixed_gamma):
     poly = build_polytope(mixed_support)
     ctype = extract(mixed_support, mixed_gamma)
     assert poly.vertex_of(ctype) == (37, 15, 2, 33, 39)
+    with pytest.raises(KeyError, match="no cone"):
+        poly.vertex_of(CombinatorialType((1, 2), (0,), ((),)))
 
 
 def test_dominance_on_samples(mixed_support):

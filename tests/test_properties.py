@@ -3,8 +3,6 @@ the exact-rational round trip, the covector kernels, and support validation."""
 
 import json
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -32,32 +30,13 @@ from morsekit.errors import (  # noqa: E402
     ZeroInSupport,
 )
 from morsekit.rationals import parse_rational, rational_to_json  # noqa: E402
+from conftest import time_limit  # noqa: E402
 from reference_simplex import reference_feasible  # noqa: E402
 
 MAX_FORMS = 8
 # far above the milliseconds an example takes; a pivot loop that stops
 # terminating fails instead of hanging the suite
 EXAMPLE_SECONDS = 10
-
-
-@contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the body after `seconds` of wall-clock time."""
-
-    def expire(signum, frame):
-        raise TimeoutError
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    except TimeoutError:
-        # raised afresh: the frame the signal interrupted can lack a line
-        # number, which pytest cannot render
-        raise TimeoutError(f"example ran longer than {seconds} s") from None
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite

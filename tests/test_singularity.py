@@ -11,7 +11,6 @@ from morsekit import (
     c_coeffs,
     c_value,
     c_value_via_levels,
-    c_value_via_levels_scaled,
     chi_fork,
     covector_from_values,
     extract,
@@ -115,7 +114,7 @@ def test_chi_fork_values():
 
 
 def test_chi_fork_rejects_bad_sequences():
-    for bad in ((), (3, 2), (2, 0, 1), (4, 3, 1)):
+    for bad in ((), (3, 2), (2, 0, 1), (4, 3, 1), (2, 2)):
         with pytest.raises(ValueError):
             chi_fork(bad)
 
@@ -182,8 +181,9 @@ def test_facet_functional_rejects_rational(mixed_support):
 
 def test_level_scan_mixed_example(mixed_support, mixed_gamma):
     t = extract(mixed_support, mixed_gamma)
-    seq, ff = level_scan(mixed_support, mixed_gamma, t, 2)
-    assert seq == (2, 2, 2, 2, 2, 1)
+    runs, ff = level_scan(mixed_support, mixed_gamma, t, 2)
+    # the fork sequence (2, 2, 2, 2, 2, 1), run-length encoded
+    assert runs == ((2, 5), (1, 1))
     assert ff.volume == 2
     assert c_value_via_levels(mixed_support, mixed_gamma, t, 2) == -10
 
@@ -200,8 +200,8 @@ def test_level_scan_coprime_edge_trivial():
     t = extract(s, g)
     for j in range(t.k):
         if gcd(t.w[j], t.w[j + 1]) == 1:
-            seq, _ = level_scan(s, g, t, j)
-            assert seq == (1,)
+            runs, _ = level_scan(s, g, t, j)
+            assert runs == ((1, 1),)
 
 
 def test_distance_consistency_first_monomial():
@@ -253,12 +253,12 @@ def test_dual_routes_agree_for_tiny_values():
                 assert c_value(s, gamma, t, j) == c_value_via_levels(s, gamma, t, j)
 
 
-def test_levels_route_rejects_rational_but_scaled_agrees(mixed_support):
+def test_level_scan_rejects_rational_but_level_route_agrees(mixed_support):
     g = covector_from_values(mixed_support, ["3/2", 5, 2, 5, "1/2"])
     t = extract(mixed_support, g)
     with pytest.raises(NonIntegerCovector):
-        c_value_via_levels(mixed_support, g, t, 2)
+        level_scan(mixed_support, g, t, 2)
     for j in range(t.k):
-        assert c_value_via_levels_scaled(mixed_support, g, t, j) == c_value(
+        assert c_value_via_levels(mixed_support, g, t, j) == c_value(
             mixed_support, g, t, j
         )

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from morsekit import (
+    CombinatorialType,
     Covector,
     DegenerateHull,
     DuplicatePoint,
@@ -67,11 +68,29 @@ def test_duplicate_rejected():
         validate_support([1, 2, 2, 5])
 
 
+def test_non_integer_point_rejected():
+    with pytest.raises(MalformedInput):
+        validate_support([1, 2.5, 4])
+
+
 def test_covector_rejects_negative_and_mismatch(mixed_support):
     with pytest.raises(CovectorError):
         Covector(mixed_support, (Fraction(-1), 0, 0, 0, 0))
     with pytest.raises(CovectorError):
         Covector(mixed_support, (1, 2, 3))
+    with pytest.raises(CovectorError):
+        Covector(mixed_support, (1, 2, 3, 4, 5)).scaled(-1)
+
+
+def test_combinatorial_type_invariants():
+    CombinatorialType((1, 3, 4), (1, 0), ((2,), (2,)))
+    for w, z, m in (
+        ((1,), (), ()),  # W of one exponent
+        ((1, 3, 4), (0, 0), ((2,), (2,))),  # Z not a permutation
+        ((1, 3, 4), (1, 0), ((2,),)),  # one ordering per root
+    ):
+        with pytest.raises(ValueError):
+            CombinatorialType(w, z, m)
 
 
 # --- upper hull ----------------------------------------------------------------
@@ -321,6 +340,12 @@ def test_parse_rational_rejects_float_contamination():
         parse_rational(0.5)
     with pytest.raises(MalformedInput):
         parse_rational("3/0")
+
+
+def test_parse_rational_rejects_other_types():
+    for value in (True, [1], None):
+        with pytest.raises(MalformedInput):
+            parse_rational(value)
 
 
 def test_parse_input_rejects_bad_shapes():
