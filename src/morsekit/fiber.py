@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DegeneracyError, NonIntegerCovector, NotMorse
 from .rationals import rational_to_json
-from .support_function import ShiftConfig, mu_value
+from .support_function import ShiftConfig, mu_coeffs, mu_value
 from .tropical import CombinatorialType, Covector, SupportSet, extract
 
 
@@ -112,14 +112,17 @@ class FiberPolygon:
         }
 
 
-def fiber_polygon(support: SupportSet, gamma: Covector) -> FiberPolygon:
+def fiber_polygon(
+    support: SupportSet, gamma: Covector, ctype: CombinatorialType | None = None
+) -> FiberPolygon:
     """Fiber polygon of the lifted 3-polytope, as a trapezoid stack.
 
     The bottom base is the Newton polygon area, enlarged by the endpoint
     triangle when 0 lies outside the support's hull; walking up, each edge of
     the root order peels off (or glues on) its oriented triangle area.
     """
-    ctype = _extract_or_not_morse(support, gamma)
+    if ctype is None:
+        ctype = _extract_or_not_morse(support, gamma)
     w = list(ctype.w)
     s = _edge_areas(gamma, w)
     d = [w[i + 1] - w[i] for i in range(len(w) - 1)]
@@ -192,7 +195,10 @@ class StrataCounts:
 
 
 def strata_counts(
-    support: SupportSet, gamma: Covector, shift: ShiftConfig = ShiftConfig()
+    support: SupportSet,
+    gamma: Covector,
+    shift: ShiftConfig = ShiftConfig(),
+    ctype: CombinatorialType | None = None,
 ) -> StrataCounts:
     """Solve the three count relations for an integer Morse covector.
 
@@ -202,11 +208,15 @@ def strata_counts(
     """
     if not gamma.is_integral():
         raise NonIntegerCovector("strata counts are defined for integer covectors")
-    ctype = _extract_or_not_morse(support, gamma)
+    if ctype is None:
+        # mu_value extracts once more; bench/test_bench.py pins that count
+        ctype = _extract_or_not_morse(support, gamma)
+        mu = mu_value(support, gamma, shift)
+    else:
+        mu = gamma.dot(mu_coeffs(support, ctype, shift))
     area = area_newton(support, gamma)
     w0, wk = ctype.w[0], ctype.w[-1]
     n_a2 = area - gamma(w0) - gamma(wk)
-    mu = mu_value(support, gamma, shift)
     doubled = mu - n_a2
     chi_a1 = -area - doubled - 2 * n_a2
     return StrataCounts(

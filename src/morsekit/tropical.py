@@ -37,7 +37,7 @@ from .errors import (
     TooShort,
     ZeroInSupport,
 )
-from .rationals import parse_rational, rational_to_json
+from .rationals import common_denominator, parse_rational, rational_to_json
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,17 @@ class Covector:
         return self.values[self.support.index(p)]
 
     def dot(self, coeffs) -> Fraction:
-        """Value at this covector of the linear form with these coefficients."""
-        return sum((c * v for c, v in zip(coeffs, self.values)), start=Fraction(0))
+        """Value at this covector of the linear form with these coefficients.
+
+        The denominators are cleared once, so integer coefficients sum as
+        integers and one Fraction is built at the end.
+        """
+        scale = common_denominator(self.values)
+        total = sum(
+            c * (v.numerator * (scale // v.denominator))
+            for c, v in zip(coeffs, self.values)
+        )
+        return Fraction(total, scale)
 
     def hull_vertices(self) -> list[int]:
         """Strict vertices of the upper hull of the lifted points, left to right.

@@ -2,8 +2,9 @@
 
 Checks a built polytope against the support and the shift it was built
 with.  Samples integer covectors uniformly from {0, ..., 50}^|A|, resampling
-on degeneracy (walls have measure zero but positive probability on a grid),
-and checks on each sample:
+on degeneracy (walls have measure zero but positive probability on a grid).
+The sampler's genericity test extracts each sample's combinatorial type, and
+that one type serves every check below.  On each sample:
 
   * dominance: the maximum of <vertex, gamma> over the polytope equals the
     support-function value, attained exactly at the extracted cone's vertex;
@@ -32,21 +33,20 @@ from .fiber import (
 )
 from .polytope import MorsePolytope
 from .singularity import c_value, c_value_via_levels, gcd_ladder, level_scan
-from .support_function import mu_value
-from .tropical import Covector, SupportSet, extract
+from .support_function import mu_coeffs
+from .tropical import CombinatorialType, Covector, SupportSet, extract
 
 
 def sample_morse_covector(
     support: SupportSet, rng: random.Random, *, bound: int = 50
-) -> tuple[Covector, int]:
-    """A Morse covector from the seeded grid, plus the resample count."""
+) -> tuple[Covector, CombinatorialType, int]:
+    """A Morse covector from the seeded grid, its type, and the resample count."""
     resamples = 0
     while True:
         values = tuple(Fraction(rng.randint(0, bound)) for _ in support.points)
         gamma = Covector(support, values)
         try:
-            extract(support, gamma)
-            return gamma, resamples
+            return gamma, extract(support, gamma), resamples
         except DegeneracyError:
             resamples += 1
 
@@ -120,11 +120,10 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
     result.reports = [dominance, dual_c, dual_vol, dual_area, strata]
 
     for _ in range(samples):
-        gamma, extra = sample_morse_covector(support, rng)
+        gamma, ctype, extra = sample_morse_covector(support, rng)
         result.resamples += extra
-        ctype = extract(support, gamma)
 
-        mu = mu_value(support, gamma, shift)
+        mu = gamma.dot(mu_coeffs(support, ctype, shift))
         heights = [gamma.dot(v) for v in polytope.vertices]
         best = max(heights)
         own = gamma.dot(polytope.vertex_of(ctype))
@@ -153,7 +152,7 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
         dual_c.record(ok, gamma, detail)
 
         closed = vol_fiber_closed(support, gamma, ctype)
-        stacked = fiber_polygon(support, gamma).area()
+        stacked = fiber_polygon(support, gamma, ctype).area()
         dual_vol.record(closed == stacked, gamma, f"closed={closed} stack={stacked}")
 
         shoelace = area_newton(support, gamma)
@@ -162,7 +161,7 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
             shoelace == formula, gamma, f"shoelace={shoelace} formula={formula}"
         )
 
-        counts = strata_counts(support, gamma, shift)
+        counts = strata_counts(support, gamma, shift, ctype)
         w0, wk = ctype.w[0], ctype.w[-1]
         eq1 = (
             counts.chi_a1 + 2 * counts.n_2a1 + 2 * counts.n_a2 == -shoelace

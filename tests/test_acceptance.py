@@ -122,7 +122,7 @@ def test_criterion_4_correction_sums_dual_route():
         for pts in sets:
             s = validate_support(pts)
             for _ in range(40):
-                g, _ = sample_morse_covector(s, rng, bound=50)
+                g, _, _ = sample_morse_covector(s, rng, bound=50)
                 ct = extract(s, g)
                 for j in range(ct.k):
                     assert c_value(s, g, ct, j) == c_value_via_levels(s, g, ct, j)
@@ -149,7 +149,7 @@ def test_criterion_5_fiber_dual_routes():
                     [-6, -4, -3, -2]):
             s = validate_support(pts)
             for _ in range(40):
-                g, _ = sample_morse_covector(s, rng, bound=50)
+                g, _, _ = sample_morse_covector(s, rng, bound=50)
                 assert vol_fiber_closed(s, g) == fiber_polygon(s, g).area()
                 assert area_newton(s, g) == area_newton_formula(s, g)
 
@@ -202,7 +202,7 @@ def test_criterion_7_strata_consistency():
                     [-6, -4, -3, -2]):
             support = validate_support(pts)
             for _ in range(30):
-                gamma, _ = sample_morse_covector(support, rng, bound=50)
+                gamma, _, _ = sample_morse_covector(support, rng, bound=50)
                 ctype = extract(support, gamma)
                 counts = strata_counts(support, gamma, shift)
                 area = area_newton(support, gamma)

@@ -275,6 +275,10 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     assert code == 3
     assert "FAIL cj_dual_route" in out
     assert "counterexample" in out
+    # the counterexample's covector and detail, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "61aeb36f7b78b6ab29a4de247f425caba418fdcdc080f7e1b27c85aad3028bb1"
+    )
 
 
 @pytest.mark.parametrize("shift", ["1,0", "0,1"])
@@ -300,6 +304,65 @@ def test_verify_seed_changes_output(capsys):
     )
     assert json.loads(out1)["seed"] == 1
     assert json.loads(out2)["seed"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv,sha256",
+    [
+        (
+            # 12 resamples: pins the sampler's draws as well as the checks
+            ('{"A": [-3,-1,1,2,4]}', "--samples", "60", "--seed", "13",
+             "--format", "json"),
+            "857ca71298b41e1fa6c984ee8aa620df6b2bff4a48120c6192e13b0ba247a3e3",
+        ),
+        (
+            ('{"A": [1,2,3,4,5]}', "--samples", "40", "--seed", "3",
+             "--format", "json"),
+            "14aba35d94faa2835ba1ddc86e2ff2c9c996de265bfe71806aea824820e6b57d",
+        ),
+        (
+            ('{"A": [2,3,4,6]}', "--samples", "40", "--seed", "5",
+             "--shift", "1,0", "--format", "json"),
+            "91dec137de0a47c147e775a6cffb7f939f254e223381a10fd8a69a967d3e03d5",
+        ),
+        (
+            ('{"A": [-3,-1,1,2,4]}', "--samples", "30", "--seed", "7",
+             "--shift", "3,-1", "--format", "text"),
+            "3168ec5d878f35db95f4624cee811f9f4b3a53df3d8b2c005b59adcbccd1f8f4",
+        ),
+    ],
+    ids=["mixed-resamples", "positive", "odd-shift", "text"],
+)
+def test_verify_stdout_bytes_pinned(capsys, argv, sha256):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_samples_cap(capsys, monkeypatch):
+    import morsekit.cli as cli_mod
+    from morsekit.verify import SuiteResult
+
+    cap = cli_mod._MAX_SAMPLES
+    assert cap == 10**5
+    # one past the cap refuses before the polytope is built
+    monkeypatch.setattr(cli_mod, "_polytope", lambda *args: pytest.fail("built"))
+    code, out, err = run(
+        capsys, "verify", '{"A": [1,2,3,4]}', "--samples", str(cap + 1)
+    )
+    assert code == 1 and out == "" and f"--samples must be <= {cap}" in err
+    # the cap itself is accepted; a stub suite stands in for the long run
+    monkeypatch.undo()
+    seen = []
+
+    def stub(polytope, samples, seed):
+        seen.append(samples)
+        return SuiteResult(polytope.support, seed, samples)
+
+    monkeypatch.setattr(cli_mod, "run_property_suite", stub)
+    code, out, _ = run(capsys, "verify", '{"A": [1,2,3,4]}', "--samples", str(cap))
+    assert code == 0 and seen == [cap]
+    assert out == f"seed=0 samples={cap} resamples=0\n"
 
 
 def test_jobs_flag_and_env(capsys, monkeypatch):
@@ -463,6 +526,15 @@ README_EXAMPLES = list(_readme_examples())
 
 def test_readme_has_examples():
     assert len(README_EXAMPLES) >= 9
+
+
+def test_readme_extract_output(capsys):
+    # the installed console script is compared with this block in CI
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"The first example prints:\n\n```text\n(.*?)```", readme, re.S)
+    assert README_EXAMPLES[0][0] == "extract"
+    code, out, _ = run(capsys, *README_EXAMPLES[0])
+    assert code == 0 and out == block.group(1)
 
 
 @pytest.mark.parametrize("argv", README_EXAMPLES, ids=lambda argv: argv[0])

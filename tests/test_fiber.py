@@ -69,7 +69,7 @@ def test_area_routes_agree_on_samples():
     for pts in ([1, 2, 3, 4, 5], [-6, -4, -3, -2], [-3, -1, 1, 2, 4]):
         support = validate_support(pts)
         for _ in range(30):
-            gamma, _ = sample_morse_covector(support, rnd, bound=40)
+            gamma, _, _ = sample_morse_covector(support, rnd, bound=40)
             assert area_newton(support, gamma) == area_newton_formula(
                 support, gamma
             )
@@ -125,7 +125,7 @@ def test_volume_routes_agree_on_samples():
     for pts in ([1, 2, 3, 4], [2, 3, 4, 6], [-6, -4, -3, -2], [-2, -1, 1, 2]):
         support = validate_support(pts)
         for _ in range(30):
-            gamma, _ = sample_morse_covector(support, rnd, bound=40)
+            gamma, _, _ = sample_morse_covector(support, rnd, bound=40)
             assert vol_fiber_closed(support, gamma) == fiber_polygon(
                 support, gamma
             ).area()
@@ -150,7 +150,7 @@ def test_volume_positive_support_closed_form():
     for pts in ([1, 2, 3, 4], [2, 3, 4, 6], [1, 2, 3, 4, 5], [3, 4, 6, 7]):
         support = validate_support(pts)
         for _ in range(25):
-            gamma, _ = sample_morse_covector(support, rnd, bound=40)
+            gamma, _, _ = sample_morse_covector(support, rnd, bound=40)
             w = extract(support, gamma).w
             expected = _positive_volume_closed_form(gamma, list(w))
             assert vol_fiber_closed(support, gamma) == expected
@@ -266,6 +266,27 @@ def test_strata_reject_rational(mixed_support):
     gamma = covector_from_values(mixed_support, ["1/2", 5, 2, 5, 1])
     with pytest.raises(NonIntegerCovector):
         strata_counts(mixed_support, gamma)
+    # the covector is Morse, so a type exists; the integrality check still rules
+    ctype = extract(mixed_support, gamma)
+    with pytest.raises(NonIntegerCovector):
+        strata_counts(mixed_support, gamma, ctype=ctype)
+
+
+def test_shared_type_gives_the_same_answers():
+    # a type handed in must give exactly what the call's own extract gives
+    rnd = random.Random(67)
+    for pts in ([1, 2, 3, 4, 5], [-6, -4, -3, -2], [-3, -1, 1, 2, 4], [2, 3, 4, 6]):
+        support = validate_support(pts)
+        for _ in range(20):
+            gamma, ctype, _ = sample_morse_covector(support, rnd, bound=40)
+            assert ctype == extract(support, gamma)
+            assert fiber_polygon(support, gamma, ctype) == fiber_polygon(
+                support, gamma
+            )
+            for shift in (ShiftConfig(), ShiftConfig(1, -3)):
+                assert strata_counts(support, gamma, shift, ctype) == (
+                    strata_counts(support, gamma, shift)
+                )
 
 
 def test_fiber_json_round_trip(mixed_support, mixed_gamma):

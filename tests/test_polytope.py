@@ -1,6 +1,7 @@
 """Polytope assembly, projections, and rendering."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from morsekit import (
     mu_value,
     project_and_hull,
     render_svg,
+    run_property_suite,
     sample_morse_covector,
     unit_interval_shift,
 )
@@ -65,12 +67,32 @@ def test_dominance_on_samples(mixed_support):
     poly = build_polytope(mixed_support)
     rnd = random.Random(61)
     for _ in range(100):
-        gamma, _ = sample_morse_covector(mixed_support, rnd, bound=50)
+        gamma, _, _ = sample_morse_covector(mixed_support, rnd, bound=50)
         mu = mu_value(mixed_support, gamma)
         values = [dot(v, gamma.values) for v in poly.vertices]
         assert max(values) == mu
         winners = [v for v, val in zip(poly.vertices, values) if val == mu]
         assert winners == [poly.vertex_of(extract(mixed_support, gamma))]
+
+
+def test_property_suite_extracts_once_per_draw(monkeypatch, mixed_support):
+    # the sampler's genericity test extracts each draw; every check of an
+    # accepted sample reads that one type
+    poly = build_polytope(mixed_support)
+    original = extract
+    calls = []
+
+    def counting(support, gamma):
+        calls.append(gamma)
+        return original(support, gamma)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "extract", None) is original
+        if bound and name.split(".")[0] == "morsekit":
+            monkeypatch.setattr(module, "extract", counting)
+    result = run_property_suite(poly, 40, 13)
+    assert result.ok and result.resamples > 0
+    assert len(calls) == result.samples + result.resamples
 
 
 def test_shift_equivariance(deg4_support):

@@ -261,6 +261,24 @@ def test_mu_value_is_homogeneous(gamma, c, shift):
     assert mu_value(gamma.support, gamma.scaled(c), shift) == c * mu
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_covector_dot_equals_the_fraction_sum(data):
+    # denominators are cleared once inside dot; the value must not move
+    support = data.draw(st.sampled_from(SUPPORTS))
+    size = len(support)
+    entry = st.builds(Fraction, st.integers(0, 10**30), st.integers(1, 10**6))
+    values = data.draw(st.lists(entry, min_size=size, max_size=size))
+    coeff = st.one_of(
+        st.integers(-(10**30), 10**30),
+        st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**6)),
+    )
+    coeffs = data.draw(st.lists(coeff, min_size=size, max_size=size))
+    got = Covector(support, tuple(values)).dot(coeffs)
+    assert type(got) is Fraction
+    assert got == sum((c * v for c, v in zip(coeffs, values)), start=Fraction(0))
+
+
 SUPPORT_RULES = (
     (ZeroInSupport, lambda raw: 0 in raw),
     (DuplicatePoint, lambda raw: len(set(raw)) != len(raw)),

@@ -95,7 +95,7 @@ def test_c_coeffs_zero_iff_no_ladder_drop():
     s = validate_support([2, 3, 4, 6])
     rnd = random.Random(2)
     for _ in range(40):
-        gamma, _ = sample_morse_covector(s, rnd, bound=20)
+        gamma, _, _ = sample_morse_covector(s, rnd, bound=20)
         t = extract(s, gamma)
         for j in range(t.k):
             ladder = gcd_ladder(t.w, j, t.m[j])
@@ -212,7 +212,7 @@ def test_distance_consistency_first_monomial():
     for pts in sets:
         s = validate_support(pts)
         for _ in range(25):
-            gamma, _ = sample_morse_covector(s, rnd, bound=30)
+            gamma, _, _ = sample_morse_covector(s, rnd, bound=30)
             t = extract(s, gamma)
             for j in range(t.k):
                 ff = facet_functional(s, gamma, t, j)
@@ -232,7 +232,7 @@ def test_dual_routes_agree_on_samples():
     for pts in sets:
         s = validate_support(pts)
         for _ in range(30):
-            gamma, _ = sample_morse_covector(s, rnd, bound=40)
+            gamma, _, _ = sample_morse_covector(s, rnd, bound=40)
             t = extract(s, gamma)
             for j in range(t.k):
                 assert c_value(s, gamma, t, j) == c_value_via_levels(s, gamma, t, j)
@@ -247,7 +247,7 @@ def test_dual_routes_agree_for_tiny_values():
     for pts in sets:
         s = validate_support(pts)
         for _ in range(40):
-            gamma, _ = sample_morse_covector(s, rnd, bound=4)
+            gamma, _, _ = sample_morse_covector(s, rnd, bound=4)
             t = extract(s, gamma)
             for j in range(t.k):
                 assert c_value(s, gamma, t, j) == c_value_via_levels(s, gamma, t, j)

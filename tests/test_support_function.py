@@ -178,7 +178,7 @@ def test_mu_value_matches_cone_vertex_on_samples():
     for pts in ([1, 2, 3, 4], [-3, -1, 1, 2, 4], [-6, -4, -3, -2]):
         support = validate_support(pts)
         for _ in range(40):
-            gamma, _ = sample_morse_covector(support, rnd, bound=60)
+            gamma, _, _ = sample_morse_covector(support, rnd, bound=60)
             ctype = extract(support, gamma)
             assert mu_value(support, gamma) == dot(
                 mu_coeffs(support, ctype), gamma.values
