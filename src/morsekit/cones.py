@@ -34,9 +34,10 @@ counts as contained (the learned explanations of Dutertre and de Moura's
 simplex-based solver).  A core is only ever a proof of emptiness, so the
 store changes no answer and no witness, only the time to reach it.
 
-A leaf's witness is nudged off the slope-tie walls by small shifts, and the
-ties are found on each candidate's cleared denominators in integer
-arithmetic; one `extract` per leaf confirms the type.
+A leaf's witness is nudged off the slope-tie walls by small shifts.  The
+ties are found by `tropical.slope_groups`, the table that `check_slopes`
+and `classify` read too, on each candidate's cleared denominators, so in
+integer arithmetic; one `extract` per leaf confirms the type.
 """
 
 from __future__ import annotations
@@ -45,12 +46,10 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from itertools import combinations
-from math import lcm
 
 from .errors import MorsekitError, SupportTooLarge
 from .rationals import clear_denominators
-from .tropical import CombinatorialType, Covector, SupportSet, extract
+from .tropical import CombinatorialType, Covector, SupportSet, extract, slope_groups
 
 Form = tuple[int, ...]
 
@@ -112,9 +111,6 @@ class _Witness(tuple):
         self.numerators = numerators
         self.det = det
         return self
-
-    def __getnewargs__(self):
-        return self.numerators, self.det
 
 
 def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
@@ -401,14 +397,15 @@ def _genericize(
     positions.  The candidates are the witness, then the shifts for
     eps = 2^-4, 2^-6, ... that satisfy the system strictly (see
     `_exponents` for where the ladder ends).  Each is tested for slope ties
-    on its cleared denominators, in integers; inside the open cone the
-    strict hull, Z and M forms exclude every other wall, so the first
-    tie-free candidate is the covector of `ctype`, which one `extract`
-    confirms.
+    by `slope_groups` on its cleared denominators, in integers: a tie is a
+    group of more than one pair.  Inside the open cone the strict hull, Z
+    and M forms exclude every other wall, so the first tie-free candidate
+    is the covector of `ctype`, which one `extract` confirms.
     """
     span = support.high - support.low
     for values, denominator in _candidates(system, witness, span):
-        if not _slope_tie(support.points, values):
+        groups = slope_groups(support.points, values)
+        if all(len(pairs) == 1 for pairs in groups):
             if extract(support, Covector(support, values)) != ctype:
                 raise AssertionError("witness outside its cone (internal bug)")
             return Covector(
@@ -453,19 +450,6 @@ def _exponents(system: StrictSystem, den: int, span: int):
     norm = max((_cleared(form)[1] for form in system.forms), default=0)
     limit = (den * max(norm, 4 * span)).bit_length()
     yield from range(4, max(200, limit + 2), 2)
-
-
-def _slope_tie(points: tuple[int, ...], values: tuple[int, ...]) -> bool:
-    """Whether two exponent pairs span equal slopes, for integer values.
-
-    The test of `tropical.check_slopes` without Fractions: each slope
-    (g(q) - g(p)) / (q - p) is compared as an integer, times the lcm of the
-    exponent gaps.
-    """
-    pairs = list(combinations(zip(points, values), 2))
-    scale = lcm(*(q - p for (p, _), (q, _) in pairs))
-    slopes = {(gq - gp) * (scale // (q - p)) for (p, gp), (q, gq) in pairs}
-    return len(slopes) < len(pairs)
 
 
 def _extend(

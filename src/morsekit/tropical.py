@@ -24,7 +24,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from itertools import combinations
+from math import gcd, lcm
 
 from .errors import (
     CovectorError,
@@ -130,18 +132,20 @@ class Covector:
     def __call__(self, p: int) -> Fraction:
         return self.values[self.support.index(p)]
 
+    @cached_property
+    def _cleared(self) -> tuple[tuple[int, ...], int]:
+        # the values as integer numerators over one common denominator
+        scale = common_denominator(self.values)
+        return tuple(v.numerator * (scale // v.denominator) for v in self.values), scale
+
     def dot(self, coeffs) -> Fraction:
         """Value at this covector of the linear form with these coefficients.
 
-        The denominators are cleared once, so integer coefficients sum as
-        integers and one Fraction is built at the end.
+        The denominators are cleared once per covector, so integer
+        coefficients sum as integers and one Fraction is built at the end.
         """
-        scale = common_denominator(self.values)
-        total = sum(
-            c * (v.numerator * (scale // v.denominator))
-            for c, v in zip(coeffs, self.values)
-        )
-        return Fraction(total, scale)
+        numerators, scale = self._cleared
+        return Fraction(sum(c * x for c, x in zip(coeffs, numerators)), scale)
 
     def hull_vertices(self) -> list[int]:
         """Strict vertices of the upper hull of the lifted points, left to right.
@@ -159,7 +163,7 @@ class Covector:
         return Covector(self.support, tuple(v * factor for v in self.values))
 
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.values)
+        return self._cleared[1] == 1
 
     def to_json(self) -> list:
         return [rational_to_json(v) for v in self.values]
@@ -289,22 +293,42 @@ class CombinatorialType:
         return {"W": list(self.w), "Z": list(self.z), "M": [list(s) for s in self.m]}
 
 
+def slope_groups(points, values) -> list[list[tuple[int, int]]]:
+    """The exponent pairs (p, q), p < q, grouped by the slope they span.
+
+    `values` are aligned with the sorted `points`.  Two pairs share a group
+    exactly when (g(q) - g(p)) / (q - p) is equal; the key is that slope
+    times the lcm L of all exponent gaps, (g(q) - g(p)) (L // (q - p)), so
+    integer values are grouped in integers and Fractions as Fractions.
+    Groups come in order of first appearance, pairs in lexicographic order.
+    """
+    pairs = list(combinations(zip(points, values), 2))
+    scale = lcm(*(q - p for (p, _), (q, _) in pairs))
+    groups: dict = {}
+    for (p, gp), (q, gq) in pairs:
+        groups.setdefault((gq - gp) * (scale // (q - p)), []).append((p, q))
+    return list(groups.values())
+
+
 def check_slopes(support: SupportSet, gamma: Covector) -> None:
     """Assert that no two distinct exponent pairs span equal slopes.
 
-    This is the global genericity condition the orderings M^j rely on.  Pairs
-    are grouped by exact slope in lexicographic order; the witness is the
-    first two pairs of the first group with more than one, which is the first
-    tie a scan over all pairs of pairs would meet.
+    This is the global genericity condition the orderings M^j rely on.  The
+    witness is the first two pairs of the first group of `slope_groups`
+    with more than one, which is the first tie a scan over all pairs of
+    pairs in lexicographic order would meet.
     """
-    lifted = list(zip(support.points, gamma.values))
-    by_slope: dict[Fraction, list[tuple[int, int]]] = {}
-    for i, (p, gp) in enumerate(lifted):
-        for q, gq in lifted[i + 1 :]:
-            by_slope.setdefault((gq - gp) / (q - p), []).append((p, q))
-    for pairs in by_slope.values():
+    for pairs in slope_groups(support.points, gamma.values):
         if len(pairs) > 1:
             raise SlopeDegenerate(pairs[0], pairs[1])
+
+
+def _first_equal_pair(values) -> tuple[int, int, Fraction] | None:
+    """The first (i, j), i < j lexicographically, with equal values, and the value."""
+    for i, j in combinations(range(len(values)), 2):
+        if values[i] == values[j]:
+            return i, j, values[i]
+    return None
 
 
 def extract(support: SupportSet, gamma: Covector) -> CombinatorialType:
@@ -317,10 +341,9 @@ def extract(support: SupportSet, gamma: Covector) -> CombinatorialType:
     check_slopes(support, gamma)
     rv = roots_and_values(support, gamma, w)
     values = [phi for _, phi in rv]
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[i] == values[j]:
-                raise RootValueDegenerate(i, j, values[i])
+    tie = _first_equal_pair(values)
+    if tie is not None:
+        raise RootValueDegenerate(*tie)
     z = tuple(sorted(range(len(values)), key=lambda j: values[j]))
     m = []
     for j, (u, v) in enumerate(zip(w, w[1:])):
@@ -380,35 +403,22 @@ def classify(support: SupportSet, gamma: Covector) -> Classification:
 
     Maxwell: two distinct tropical roots share their polynomial value.
     Caustic: at some root, a second pair of monomials (besides the active
-    hull pair) attains equal values.  The test is by exhaustive exact
-    comparison, so it tolerates covectors on hull walls.
+    hull pair) attains equal values, that is, spans the slope of that root's
+    hull edge; the witness is the first other pair in the edge's group of
+    `slope_groups`.  The test is exact and tolerates covectors on hull walls.
     """
     w = gamma.hull_vertices()
     rv = roots_and_values(support, gamma, w)
-
-    maxwell = None
-    for i in range(len(rv)):
-        for j in range(i + 1, len(rv)):
-            if rv[i][1] == rv[j][1]:
-                maxwell = (i, j, rv[i][1])
-                break
-        if maxwell:
-            break
-
-    caustic = None
-    pts = support.points
-    for j, (r, _) in enumerate(rv):
-        active = {w[j], w[j + 1]}
-        vals = [(gamma(p) + p * r, p) for p in pts]
-        for a in range(len(vals)):
-            for b in range(a + 1, len(vals)):
-                if vals[a][0] == vals[b][0] and {vals[a][1], vals[b][1]} != active:
-                    caustic = (r, (vals[a][1], vals[b][1]))
-                    break
-            if caustic:
-                break
-        if caustic:
-            break
+    maxwell = _first_equal_pair([phi for _, phi in rv])
+    groups = slope_groups(support.points, gamma.values)
+    group_of = {pair: pairs for pairs in groups for pair in pairs}
+    ties = (
+        (r, pair)
+        for (r, _), edge in zip(rv, zip(w, w[1:]))
+        for pair in group_of[edge]
+        if pair != edge
+    )
+    caustic = next(ties, None)
 
     if maxwell and caustic:
         return Classification(MAXWELL_AND_CAUSTIC, maxwell, caustic)

@@ -102,7 +102,10 @@ def test_support_entry_of_61_digits(capsys, command):
 
 
 def test_witness_left_on_a_slope_tie_exit_one(capsys, monkeypatch):
-    monkeypatch.setattr("morsekit.cones._slope_tie", lambda points, values: True)
+    # every candidate reports the slopes of (1, 2) and (3, 4) tied
+    monkeypatch.setattr(
+        "morsekit.cones.slope_groups", lambda points, values: [[(1, 2), (3, 4)]]
+    )
     code, out, err = run(capsys, "polytope", '{"A": [1, 2, 3, 4]}')
     assert code == 1 and out == ""
     assert err == "error: could not move a cone's witness off the slope ties\n"

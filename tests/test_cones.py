@@ -20,10 +20,10 @@ from morsekit import (
     validate_support,
 )
 from morsekit import cones
-from morsekit.cones import _genericize, _pool_size, _slope_tie
+from morsekit.cones import _genericize, _pool_size
 from morsekit.errors import DegeneracyError, SlopeDegenerate
 from morsekit.rationals import clear_denominators
-from morsekit.tropical import check_slopes
+from morsekit.tropical import check_slopes, slope_groups
 
 
 # --- the feasibility engine ------------------------------------------------------
@@ -345,7 +345,8 @@ def test_integer_slope_tie_test_agrees_with_check_slopes(points, grid):
     support = validate_support(points)
     verdicts = set()
     for values in itertools.product(grid, repeat=len(points)):
-        tie = _slope_tie(support.points, clear_denominators(values))
+        groups = slope_groups(support.points, clear_denominators(values))
+        tie = any(len(pairs) > 1 for pairs in groups)
         assert tie == _check_slopes_ties(support, values), values
         verdicts.add(tie)
     assert verdicts == {True, False}

@@ -1,5 +1,6 @@
 """Property tests: the simplex against a reference, the Farkas-core store,
-the exact-rational round trip, the covector kernels, and support validation."""
+the exact-rational round trip, the covector kernels, the slope table against
+reference tie tests, and support validation."""
 
 import json
 import random
@@ -26,12 +27,20 @@ from morsekit.errors import (  # noqa: E402
     DegeneracyError,
     DuplicatePoint,
     NotGenerating,
+    RootValueDegenerate,
+    SlopeDegenerate,
     TooShort,
     ZeroInSupport,
 )
-from morsekit.rationals import parse_rational, rational_to_json  # noqa: E402
+from morsekit.rationals import (  # noqa: E402
+    clear_denominators,
+    parse_rational,
+    rational_to_json,
+)
+from morsekit.tropical import check_slopes, slope_groups  # noqa: E402
 from conftest import time_limit  # noqa: E402
 from reference_simplex import reference_feasible  # noqa: E402
+from reference_slopes import reference_check_slopes, reference_classify  # noqa: E402
 
 MAX_FORMS = 8
 # far above the milliseconds an example takes; a pivot loop that stops
@@ -277,6 +286,76 @@ def test_covector_dot_equals_the_fraction_sum(data):
     got = Covector(support, tuple(values)).dot(coeffs)
     assert type(got) is Fraction
     assert got == sum((c * v for c, v in zip(coeffs, values)), start=Fraction(0))
+
+
+# a 61-digit exponent makes the lcm of the exponent gaps about 10^180
+TIE_SUPPORTS = SUPPORTS + [validate_support([1, 2, 3, 10**60 + 1])]
+
+
+@st.composite
+def tie_heavy_covectors(draw):
+    """Covectors on a grid of values 0-3, with rational entries, or with
+    entries up to 10^12, so that slope ties, caustic pairs and equal root
+    values are common on the first two and exact keys grow on the last."""
+    support = draw(st.sampled_from(TIE_SUPPORTS))
+    value = draw(
+        st.sampled_from(
+            [
+                st.integers(0, 3),
+                st.fractions(min_value=0, max_value=3, max_denominator=4),
+                st.integers(0, 10**12),
+            ]
+        )
+    )
+    values = draw(st.lists(value, min_size=len(support), max_size=len(support)))
+    return Covector(support, tuple(values))
+
+
+def _slope_verdict(check, gamma):
+    try:
+        check(gamma.support, gamma)
+    except SlopeDegenerate as exc:
+        return type(exc), exc.pair_a, exc.pair_b
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_heavy_covectors())
+def test_check_slopes_matches_the_reference(gamma):
+    assert _slope_verdict(check_slopes, gamma) == _slope_verdict(
+        reference_check_slopes, gamma
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_heavy_covectors())
+def test_classify_matches_the_reference(gamma):
+    assert classify(gamma.support, gamma) == reference_classify(gamma.support, gamma)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_heavy_covectors())
+def test_extract_root_value_tie_matches_the_reference(gamma):
+    # past the hull and slope checks, extract's first equal root values are
+    # the reference's Maxwell witness
+    maxwell = reference_classify(gamma.support, gamma).maxwell_witness
+    try:
+        extract(gamma.support, gamma)
+    except RootValueDegenerate as exc:
+        assert (exc.index_a, exc.index_b, exc.value) == maxwell
+    except DegeneracyError:
+        return
+    else:
+        assert maxwell is None
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_heavy_covectors())
+def test_slope_groups_agree_on_cleared_denominators(gamma):
+    points, values = gamma.support.points, gamma.values
+    assert slope_groups(points, clear_denominators(values)) == slope_groups(
+        points, values
+    )
 
 
 SUPPORT_RULES = (

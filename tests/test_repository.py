@@ -1,0 +1,96 @@
+"""Checks on the repository itself: the README's library block runs and
+prints what its comments say, and no module imports another's private name."""
+
+import ast
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import morsekit as mk
+
+ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "morsekit"
+
+
+def _library_block() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+
+
+def _run_block(source: str) -> tuple[dict, dict]:
+    """Run the block one statement at a time.
+
+    Returns the final namespace and the value of each expression statement
+    and each assignment to one name, keyed by its source text without the
+    comment, so a value the block later rebinds is kept as it was.
+    """
+    namespace: dict = {}
+    values: dict = {}
+    for node in ast.parse(source).body:
+        text = ast.get_source_segment(source, node)
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[text] = eval(code, namespace)
+            continue
+        exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            values[text] = namespace[node.targets[0].id]
+    return namespace, values
+
+
+def test_readme_library_block():
+    ns, values = _run_block(_library_block())
+    A = ns["A"]
+    ctype = values["ctype = mk.extract(A, gamma)"]
+    assert (ctype.w, ctype.z) == ((-3, -1, 2, 4), (1, 0, 2))
+
+    mu = values["mk.mu_value(A, gamma)"]
+    assert type(mu) is Fraction and mu == Fraction(394)
+    assert values["mk.mu_coeffs(A, ctype)"] == (37, 15, 2, 33, 39)
+
+    poly = values["poly = mk.build_polytope(A)"]
+    assert len(poly.vertices) == 16 and (poly.d1, poly.d2) == (126, 98)
+    assert len(values["mk.project_and_hull(poly, (1, 2))"]) >= 3
+
+    fp = values["fp = mk.fiber_polygon(A, gamma)"]
+    assert fp.bases == (58, 43, 31, 13) and fp.heights == (3, 2, 2)
+    assert values["mk.vol_fiber_closed(A, gamma)"] == 539 == fp.area()
+    counts = values["mk.strata_counts(A, gamma)"]
+    assert (counts.chi_a1, counts.n_a2, counts.n_2a1) == (-506, 54, 170)
+
+    assert values["mk.fiber_polygon(A, gamma, ctype)"] == fp
+    assert values["mk.strata_counts(A, gamma, ctype=ctype)"] == counts
+    assert values["mk.vol_fiber_closed(A, gamma, ctype)"] == 539
+
+    sampled, sampled_type, resamples = ns["gamma"], ns["ctype"], ns["resamples"]
+    assert mk.classify(A, sampled).is_morse
+    assert mk.extract(A, sampled) == sampled_type
+    assert isinstance(resamples, int) and resamples >= 0
+
+
+def _private_imports(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        internal = node.level > 0 or (node.module or "").startswith("morsekit")
+        found += [
+            f"{path.name}:{node.lineno} imports {alias.name}"
+            for alias in node.names
+            if internal and alias.name.startswith("_")
+        ]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    # a name another module needs is public, even if it stays out of __all__
+    assert _private_imports(path) == []
+
+
+def test_private_import_guard_sees_relative_imports(tmp_path):
+    module = tmp_path / "example.py"
+    module.write_text("from .cones import feasible, _solve\nfrom math import _x\n")
+    assert _private_imports(module) == ["example.py:1 imports _solve"]

@@ -247,6 +247,19 @@ def test_extract_root_value_degenerate(mixed_support):
     assert err.value.value == 6
 
 
+def test_first_of_two_root_value_ties_is_reported():
+    # roots 0 and 4 share a value, and so do roots 1 and 3; extract and
+    # classify both name the first pair in lexicographic order
+    s = validate_support([-4, -3, -1, 2, 5, 6])
+    g = covector_from_values(s, [0, 15, 25, 34, 40, 36])
+    values = [phi for _, phi in roots_and_values(s, g, upper_hull(s, g))]
+    assert values[0] == values[4] and values[1] == values[3]
+    with pytest.raises(RootValueDegenerate) as err:
+        extract(s, g)
+    assert (err.value.index_a, err.value.index_b, err.value.value) == (0, 4, 60)
+    assert classify(s, g).maxwell_witness == (0, 4, 60)
+
+
 def test_everything_is_exact(mixed_support, mixed_gamma):
     rv = roots_and_values(
         mixed_support, mixed_gamma, upper_hull(mixed_support, mixed_gamma)
