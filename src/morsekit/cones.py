@@ -64,9 +64,9 @@ class StrictSystem:
     nvars: int
     forms: tuple[Form, ...] = field(default_factory=tuple)
     # form -> the proven-empty cores (frozensets of forms) that contain it;
-    # shared by every system extended from the same base, None for no store
-    learned: dict[Form, list[frozenset[Form]]] | None = field(
-        default=None, compare=False, repr=False
+    # shared by every system extended from the same base
+    learned: dict[Form, list[frozenset[Form]]] = field(
+        default_factory=dict, compare=False, repr=False
     )
     # comparisons the forms imply (positive combinations of them), which the
     # store counts as present; the last `fresh` of them came with the newest
@@ -158,8 +158,8 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
     At the optimum the Farkas multiplier of row i is y_i = 1 while artificial
     i is basic, y_i = -O[k] / det when surplus i sits in slot k, and 0 when
     surplus i is basic; sum_i y_i l_i <= 0 coefficientwise and sum_i y_i > 0,
-    so the rows with y_i > 0 admit no point on their own.  With a store
-    (`system.learned`), an empty answer records that core, and a system that
+    so the rows with y_i > 0 admit no point on their own.  An empty answer
+    records that core in the store `system.learned`, and a system that
     contains a stored core is answered None before any dictionary is built.
     The comparisons in `system.implied` count as contained, and cores are
     looked up only under the last form and the comparisons that came with
@@ -179,8 +179,7 @@ def _solve(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
     forms = system.forms
     if not forms:
         return (1,) * n, 1
-    learned = system.learned
-    if learned is not None and _stored_core_within(system):
+    if _stored_core_within(system):
         return None
     cleared = [_cleared(form) for form in forms]
     m = len(forms)
@@ -243,21 +242,18 @@ def _solve(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
         det = p
 
     if obj & mask:
-        if learned is not None:
-            # y_i > 0: artificial i still basic, or surplus i in a slot with O < 0
-            biased = obj + bias
-            weighted = {
-                cols[k] - n
-                for k in range(n)
-                if cols[k] >= n and biased >> shifts[k] & mask < half
-            }
-            core = frozenset(
-                system.forms[i]
-                for i in range(m)
-                if basis[i] == artificial + i or i in weighted
-            )
-            for form in core:
-                learned.setdefault(form, []).append(core)
+        # y_i > 0: artificial i still basic, or surplus i in a slot with O < 0
+        biased = obj + bias
+        weighted = {
+            cols[k] - n
+            for k in range(n)
+            if cols[k] >= n and biased >> shifts[k] & mask < half
+        }
+        core = frozenset(
+            forms[i] for i in range(m) if basis[i] == artificial + i or i in weighted
+        )
+        for form in core:
+            system.learned.setdefault(form, []).append(core)
         return None
     numerators = [0] * n
     for i, var in enumerate(basis):
@@ -484,7 +480,7 @@ def _subdivision_types(
     newly added form.  Every system of the call shares one store of Farkas
     cores (see `feasible`), which lives exactly as long as the call.
     """
-    base = StrictSystem(len(support), tuple(_hull_forms(support, w)), {})
+    base = StrictSystem(len(support), tuple(_hull_forms(support, w)))
     base_witness = feasible(base)
     if base_witness is None:
         return []
@@ -544,7 +540,10 @@ def enumerate_types(
     process pool of at most that many workers, clamped to the CPUs and to
     the number of subdivisions.  Output is canonically ordered
     (lexicographic by W, then Z, then M) and identical regardless of the
-    parallelism degree.  Raises SupportTooLarge past the combinatorial cap.
+    parallelism degree: the tasks run in sorted W order, the pool returns
+    them in that order, and each tree tries every chain's elements in
+    increasing order, so it emits its types sorted.  Raises SupportTooLarge
+    past the combinatorial cap.
     """
     if len(support) > max_support_size:
         raise SupportTooLarge(
@@ -562,6 +561,4 @@ def enumerate_types(
             chunks = list(pool.map(task, subdivisions))
     else:
         chunks = map(task, subdivisions)
-    results = [item for chunk in chunks for item in chunk]
-    results.sort(key=lambda pair: (pair[0].w, pair[0].z, pair[0].m))
-    return results
+    return [item for chunk in chunks for item in chunk]

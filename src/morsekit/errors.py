@@ -96,7 +96,7 @@ class NotPositiveSupport(MorsekitError, ValueError):
 
 
 class NumberTooLarge(MorsekitError, ValueError):
-    """A number has more decimal digits than Python converts to text."""
+    """A number is too large to print as decimal text or to draw as a float."""
 
 
 # --- assembly ----------------------------------------------------------------

@@ -8,7 +8,7 @@ from functools import cached_property
 from math import ceil, floor
 
 from .cones import enumerate_types
-from .errors import BadAxes, HyperplaneViolation
+from .errors import BadAxes, HyperplaneViolation, NumberTooLarge
 from .rationals import rational_to_json
 from .support_function import ShiftConfig, mu_coeffs
 from .tropical import CombinatorialType, Covector, SupportSet, convex_hull_2d
@@ -147,7 +147,8 @@ def render_svg(polygon) -> str:
 
     Accepts any sequence of exact-rational points; also accepts a
     FiberPolygon, in which case each horizontal base is drawn as well.
-    Output bytes depend only on the input.
+    Output bytes depend only on the input.  Raises NumberTooLarge when the
+    drawing's extent in pixels is past the float range.
     """
     bases = None
     if hasattr(polygon, "vertices") and hasattr(polygon, "bases"):
@@ -165,8 +166,11 @@ def render_svg(polygon) -> str:
     ys = [p[1] for p in pts] or [Fraction(0)]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    width = float((x1 - x0) * _SCALE) + 2 * _MARGIN
-    height = float((y1 - y0) * _SCALE) + 2 * _MARGIN
+    try:
+        width = float((x1 - x0) * _SCALE) + 2 * _MARGIN
+        height = float((y1 - y0) * _SCALE) + 2 * _MARGIN
+    except OverflowError as exc:
+        raise NumberTooLarge("the drawing is too large for float coordinates") from exc
 
     def tx(x):
         return _fmt((x - x0) * _SCALE + _MARGIN)

@@ -114,44 +114,25 @@ def _lifted_support(support: SupportSet, gamma: Covector) -> list[tuple[int, int
     return sorted(pts)
 
 
-def _require_integral(gamma: Covector) -> None:
-    if not gamma.is_integral():
-        raise NonIntegerCovector(
-            "integer covector required; scale by the lcm of denominators"
-        )
-
-
 def facet_functional(
     support: SupportSet, gamma: Covector, ctype: CombinatorialType, j: int
 ) -> FacetFunctional:
     """Reduced hyperplane functional of the facet spanned by hull edge j.
 
-    The unreduced normal is (gamma(w_j) - gamma(w_{j+1}), S_j, d_j) at level
-    S_j; dividing by the content yields coprime coefficients, and the content
-    is the facet's lattice area.
+    The functional `level_scan` computes and checks on its way down.
     """
-    _require_integral(gamma)
-    w = ctype.w
-    u, v = w[j], w[j + 1]
-    gu, gv = int(gamma(u)), int(gamma(v))
-    s = v * gu - u * gv
-    d = v - u
-    content = gcd(gcd(abs(gu - gv), abs(s)), d)
-    h = (gu - gv) // content, s // content, d // content
-    level = s // content
-    for pt in _lifted_support(support, gamma):
-        value = h[0] * pt[0] + h[1] * pt[1] + h[2] * pt[2]
-        if value > level:
-            raise AssertionError(
-                f"lifted point {pt} above facet level {level} (internal bug)"
-            )
-    return FacetFunctional(h, level, content)
+    return level_scan(support, gamma, ctype, j)[1]
 
 
 def level_scan(
     support: SupportSet, gamma: Covector, ctype: CombinatorialType, j: int
 ) -> tuple[tuple[tuple[int, int], ...], FacetFunctional]:
     """Fork sequence of facet j by sweeping its hyperplane down the levels.
+
+    The unreduced normal of the facet is (gamma(w_j) - gamma(w_{j+1}), S_j,
+    d_j) at level S_j; dividing by the content yields coprime coefficients,
+    and the content is the facet's lattice area.  No lifted-support point
+    may lie above the facet.
 
     Level l of the sweep accumulates every lifted-support point at reduced
     height >= level - (l - 1); the l-th entry is the gcd of the accumulated
@@ -160,12 +141,26 @@ def level_scan(
     is returned run-length encoded, as ((entry, count), ...), and the scan
     visits only the levels that hold a lifted point.
     """
-    ff = facet_functional(support, gamma, ctype, j)
-    h1, h2, h3 = ff.coeffs
+    if not gamma.is_integral():
+        raise NonIntegerCovector(
+            "integer covector required; scale by the lcm of denominators"
+        )
+    w = ctype.w
+    u, v = w[j], w[j + 1]
+    gu, gv = int(gamma(u)), int(gamma(v))
+    s = v * gu - u * gv
+    content = gcd(gcd(abs(gu - gv), abs(s)), v - u)
+    # the reduced facet level S_j / content is the middle coefficient h2
+    h1, h2, h3 = (gu - gv) // content, s // content, (v - u) // content
     by_level: dict[int, list[int]] = {}
     for x, y, z in _lifted_support(support, gamma):
         by_level.setdefault(h1 * x + h2 * y + h3 * z, []).append(x)
     levels = sorted(by_level, reverse=True)
+    if levels[0] > h2:
+        raise AssertionError(
+            f"lifted points at level {levels[0]} above facet level {h2} (internal bug)"
+        )
+    ff = FacetFunctional((h1, h2, h3), h2, content)
     # entry -> count; each new entry divides the last, so runs never recur
     runs: dict[int, int] = {}
     g = 0

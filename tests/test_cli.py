@@ -88,6 +88,15 @@ def test_root_past_the_digit_limit_exit_one(capsys):
     assert err == "error: a number has more than 4300 digits\n"
 
 
+@pytest.mark.parametrize("argv", [["fiber", "--format", "svg"], ["plot"]])
+def test_drawing_past_the_float_range_exit_one(capsys, argv):
+    # 10^320 lattice units times 40 pixels each is past the largest float
+    payload = '{"A": [1, 2, 3, 4], "gamma": [1, %d, 3, 1]}' % 10**320
+    code, out, err = run(capsys, argv[0], payload, *argv[1:])
+    assert code == 1 and out == ""
+    assert err == "error: the drawing is too large for float coordinates\n"
+
+
 HUGE = '{"A": [1, 2, 3, %d]}' % (10**60 + 1)
 
 

@@ -255,11 +255,13 @@ def test_cone_systems_are_homogeneous(mixed_support, mixed_gamma):
     ],
 )
 def test_cone_constraints_witnesses_pinned(points, count, sha256):
-    # systems built outside the enumeration carry no store and solve as before
+    # each system built outside the enumeration starts with its own empty
+    # store, which changes no witness
     support = validate_support(points)
     systems = [cone_constraints(support, t) for t, _ in enumerate_types(support)]
     assert len(systems) == count
-    assert all(system.learned is None for system in systems)
+    assert all(system.learned == {} for system in systems)
+    assert len({id(system.learned) for system in systems}) == count
     witnesses = [feasible(system) for system in systems]
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == sha256
 
@@ -400,6 +402,8 @@ def test_deterministic_and_schedule_independent(points):
     second = enumerate_types(support)
     parallel = enumerate_types(support, jobs=2)
     assert first == second == parallel
+    # the trees emit their types in canonical order, with no sort after them
+    assert first == sorted(first, key=lambda p: (p[0].w, p[0].z, p[0].m))
 
 
 def test_pool_size_clamped_to_cpus_and_tasks(monkeypatch):

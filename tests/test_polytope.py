@@ -9,6 +9,7 @@ import pytest
 from morsekit import (
     BadAxes,
     CombinatorialType,
+    NumberTooLarge,
     ShiftConfig,
     build_polytope,
     convex_hull_2d,
@@ -215,6 +216,14 @@ def test_svg_grid_bounded_at_huge_coefficients(mixed_support, mixed_gamma):
     svg = render_svg(fiber_polygon(mixed_support, mixed_gamma.scaled(10**12)))
     assert 0 < svg.count('class="grid"') <= 2 * 101
     assert svg.count('class="base"') == 4
+
+
+def test_svg_past_the_float_range_raises():
+    render_svg([(0, 0), (1, 10**200)])
+    with pytest.raises(NumberTooLarge):
+        render_svg([(0, 0), (1, 10**320)])
+    with pytest.raises(NumberTooLarge):
+        render_svg([(0, 0), (Fraction(10**320, 3), 1)])
 
 
 def test_svg_rational_coordinates():

@@ -285,8 +285,8 @@ def test_classify_caustic_collinear():
 
 def test_classify_maxwell(mixed_support):
     # phi-values (6, 5, 6): the outer roots tie, and no extra pair ties at any
-    # root (verified by the exhaustive comparison inside classify itself and
-    # frozen here)
+    # root (verified by the exhaustive comparison in
+    # tests/reference_slopes.py::reference_classify and frozen here)
     g = covector_from_values(mixed_support, [3, 5, 2, 5, 4])
     c = classify(mixed_support, g)
     assert c.kind == "maxwell"
