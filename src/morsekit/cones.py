@@ -17,10 +17,19 @@ the enumeration solves the same forms many times over.
 
 The search is a backtracking tree per subdivision W: hull constraints first
 (they kill most subdivisions cheaply), then k + 1 chains in turn, the root
-order Z and one monomial order M^j per root.  Every chain grows by the same
-rule, one element at a time with a feasibility test per extension, and
-`cone_constraints` reads its forms off the same chain definitions.  The
-subdivisions are independent tasks, mapped in order or over a process pool.
+order Z and one monomial order M^j per root.  Every chain grows one element
+at a time with a feasibility test per extension, and `cone_constraints`
+reads its forms off the same chain definitions.  The subdivisions are
+independent tasks, mapped in order or over a process pool.
+
+`enumerate_types` grows every chain by the fine rule, one new comparison
+per element, so its leaves are the paper's types (W, Z, M).  The vertex
+reads only the elements of M^j at which the gcd ladder b drops, and only a
+live element, one that b does not divide, can drop it; so `enumerate_keys`
+grows each M^j by the drop rule: pick a live element beating every other
+live one, replace b by its gcd with it, stop when none is live.  A leaf is
+a drop key (`singularity.drop_key`), one convex cone of fine types with one
+vertex: a few dozen keys stand for the thousands of types of |A| = 6.
 
 Most extensions that turn out empty repeat a contradiction a sibling already
 met.  When phase 1 proves a system empty, its final objective row holds
@@ -46,9 +55,11 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
+from math import gcd
 
 from .errors import MorsekitError, SupportTooLarge
 from .rationals import clear_denominators
+from .singularity import drop_key
 from .tropical import CombinatorialType, Covector, SupportSet, extract, slope_groups
 
 Form = tuple[int, ...]
@@ -270,7 +281,9 @@ def _stored_core_within(system: StrictSystem) -> bool:
     looked up under the newest form and the comparisons that came with it
     only: systems grow by appending to a feasible prefix, and no core lies
     within what a feasible system implies, so any core that lies within
-    this one holds one of these keys.
+    this one holds one of these keys, or an earlier form of the same
+    extension, which a drop-rule step makes several at once; a miss merely
+    solves.
     """
     implied = system.implied
     keys = (system.forms[-1], *implied[len(implied) - system.fresh :])
@@ -396,13 +409,16 @@ def _genericize(
     by `slope_groups` on its cleared denominators, in integers: a tie is a
     group of more than one pair.  Inside the open cone the strict hull, Z
     and M forms exclude every other wall, so the first tie-free candidate
-    is the covector of `ctype`, which one `extract` confirms.
+    is a covector of `ctype`, which one `extract` confirms: its type is
+    `ctype` for a fine leaf, and its drop key is `ctype` for a key leaf.
     """
     span = support.high - support.low
     for values, denominator in _candidates(system, witness, span):
         groups = slope_groups(support.points, values)
         if all(len(pairs) == 1 for pairs in groups):
-            if extract(support, Covector(support, values)) != ctype:
+            # for a fine leaf, drop_key(found) == ctype forces found == ctype
+            found = extract(support, Covector(support, values))
+            if found != ctype and drop_key(found) != ctype:
                 raise AssertionError("witness outside its cone (internal bug)")
             return Covector(
                 support, tuple(Fraction(x, denominator) for x in values)
@@ -466,30 +482,43 @@ def _extend(
 
 
 def _subdivision_types(
-    support: SupportSet, w: tuple[int, ...]
+    support: SupportSet, keys: bool, w: tuple[int, ...]
 ) -> list[tuple[CombinatorialType, Covector]]:
     """All realizable types refining one subdivision W, with witnesses.
 
     Backtracking over the chains of `_chains` in turn: the root order Z, then
-    each monomial chain M^j.  A chain grows one unused element at a time, in
-    the order of its elements, and each extension adds the form comparing
-    the new element with its predecessor, pruning where the system turns
-    empty; the forms comparing it with the earlier elements go along as
-    implied comparisons.  Witnesses are inherited down the tree, so a node
-    pays for a simplex solve only when its parent's witness violates the
-    newly added form.  Every system of the call shares one store of Farkas
-    cores (see `feasible`), which lives exactly as long as the call.
+    each monomial chain M^j.  A chain grows one element at a time, in the
+    order of its elements, pruning where the system turns empty.  Z, and
+    each M^j unless `keys`, takes any unused element with the form comparing
+    it to its predecessor, the forms comparing it to the earlier ones going
+    along as implied comparisons; with `keys` each M^j takes the drop rule
+    (see the module docstring) and its leaves are drop keys.  Witnesses are
+    inherited down the tree, so a node pays for a simplex solve only when
+    its parent's witness violates a new form.  Every system of the call
+    shares one store of Farkas cores (see `feasible`), which lives exactly
+    as long as the call.
     """
     base = StrictSystem(len(support), tuple(_hull_forms(support, w)))
     base_witness = feasible(base)
     if base_witness is None:
         return []
     chains = _chains(support, w)
+    # the drop rule's ladder start b_0 = gcd(w_j, w_{j+1}) per chain, or None
+    starts = [None] + [gcd(u, v) if keys else None for u, v in zip(w, w[1:])]
     found: list[tuple[CombinatorialType, Covector]] = []
 
     def grow(done: tuple, chain: tuple[int, ...], system: StrictSystem, witness):
         elements, pair_form = chains[len(done)]
-        if len(chain) == len(elements):
+        start = starts[len(done)]
+        if start is None:
+            full = len(chain) == len(elements)
+        else:
+            # the live elements: b, the ladder's current entry, divides every
+            # element picked and is divided by every later entry
+            b = gcd(start, *chain)
+            elements = [p for p in elements if p % b]
+            full = not elements
+        if full:
             done += (chain,)
             if len(done) == len(chains):
                 ctype = CombinatorialType(w, done[0], done[1:])
@@ -500,8 +529,12 @@ def _subdivision_types(
         for nxt in elements:
             if nxt in chain:
                 continue
-            extra = [pair_form(chain[-1], nxt)] if chain else []
-            implied = [pair_form(x, nxt) for x in chain[:-1]]
+            if start is None:
+                extra = [pair_form(chain[-1], nxt)] if chain else []
+                implied = [pair_form(x, nxt) for x in chain[:-1]]
+            else:
+                extra = [pair_form(nxt, r) for r in elements if r != nxt]
+                implied = []
             child, child_witness = _extend(system, witness, extra, implied)
             if child_witness is not None:
                 grow(done, chain + (nxt,), child, child_witness)
@@ -529,10 +562,7 @@ def _pool_size(jobs: int | None, tasks: int) -> int:
 
 
 def enumerate_types(
-    support: SupportSet,
-    *,
-    max_support_size: int = 7,
-    jobs: int | None = None,
+    support: SupportSet, *, max_support_size: int = 7, jobs: int | None = None
 ) -> list[tuple[CombinatorialType, Covector]]:
     """Every realizable combinatorial type, with an interior witness each.
 
@@ -545,12 +575,27 @@ def enumerate_types(
     increasing order, so it emits its types sorted.  Raises SupportTooLarge
     past the combinatorial cap.
     """
+    return _enumerate(support, max_support_size, jobs, False)
+
+
+def enumerate_keys(
+    support: SupportSet, *, max_support_size: int = 7, jobs: int | None = None
+) -> list[tuple[CombinatorialType, Covector]]:
+    """Every realizable drop key, with an interior witness each.
+
+    As `enumerate_types`, with each M^j grown by the drop rule: a leaf is the
+    drop key of the fine types in one convex cone, which share one vertex.
+    """
+    return _enumerate(support, max_support_size, jobs, True)
+
+
+def _enumerate(support, max_support_size, jobs, keys):
     if len(support) > max_support_size:
         raise SupportTooLarge(
             f"support of size {len(support)} exceeds the cap {max_support_size}"
         )
     subdivisions = _all_subdivisions(support)
-    task = partial(_subdivision_types, support)
+    task = partial(_subdivision_types, support, keys)
     workers = _pool_size(jobs, len(subdivisions))
     if workers > 1:
         # imported here so that importing the package does not load

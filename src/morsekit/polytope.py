@@ -7,9 +7,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor
 
-from .cones import enumerate_types
+from .cones import enumerate_keys, enumerate_types
 from .errors import BadAxes, HyperplaneViolation, NumberTooLarge
 from .rationals import rational_to_json
+from .singularity import drop_key
 from .support_function import ShiftConfig, mu_coeffs
 from .tropical import CombinatorialType, Covector, SupportSet, convex_hull_2d
 
@@ -43,10 +44,14 @@ class MorsePolytope:
         return {record.ctype: record.vertex_index for record in self.cones}
 
     def vertex_of(self, ctype: CombinatorialType) -> tuple[int, ...]:
-        try:
-            return self.vertices[self._cone_index[ctype]]
-        except KeyError:
-            raise KeyError(f"no cone for {ctype}") from None
+        """The vertex of a type's cone, looked up as given or by its drop key."""
+        index = self._cone_index
+        found = index.get(ctype)
+        if found is None:
+            found = index.get(drop_key(ctype))
+        if found is None:
+            raise KeyError(f"no cone for {ctype}")
+        return self.vertices[found]
 
     def to_json(self) -> dict:
         return {
@@ -72,13 +77,16 @@ def build_polytope(
     *,
     max_support_size: int = 7,
     jobs: int | None = None,
+    keys: bool = False,
 ) -> MorsePolytope:
     """Enumerate cones, evaluate the vertex of each, dedup, and verify.
 
     Vertices are ordered lexicographically; the cone table keeps the
-    canonical enumeration order so the surjection stays inspectable.
+    canonical enumeration order so the surjection stays inspectable.  With
+    `keys` the cones are the drop keys' (`cones.enumerate_keys`), far fewer
+    for the same vertices, and the table holds one record per key.
     """
-    enumerated = enumerate_types(
+    enumerated = (enumerate_keys if keys else enumerate_types)(
         support, max_support_size=max_support_size, jobs=jobs
     )
     raw = [mu_coeffs(support, ctype, shift) for ctype, _ in enumerated]

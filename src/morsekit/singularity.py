@@ -40,6 +40,19 @@ def gcd_ladder(w: tuple[int, ...], j: int, m_j: tuple[int, ...]) -> tuple[int, .
     return tuple(ladder)
 
 
+def drop_key(ctype: CombinatorialType) -> CombinatorialType:
+    """The type with each M^j cut down to the elements its ladder drops at.
+
+    `c_coeffs` weights the other elements by a zero drop, so the key has the
+    same vertex as the type; the key of a key is itself.
+    """
+    m = []
+    for j, m_j in enumerate(ctype.m):
+        ladder = gcd_ladder(ctype.w, j, m_j)
+        m.append(tuple(p for p, b, c in zip(m_j, ladder, ladder[1:]) if b != c))
+    return CombinatorialType(ctype.w, ctype.z, tuple(m))
+
+
 def c_coeffs(
     support: SupportSet, ctype: CombinatorialType, j: int
 ) -> tuple[int, ...]:
