@@ -372,7 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (cap := getattr(args, "max_support_size", 3)) < 3:  # no valid support is smaller
+        parser.error(f"argument --max-support-size: must be >= 3, got {cap}")
     try:
         return args.func(args)
     except (MorsekitError, OSError) as exc:

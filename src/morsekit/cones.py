@@ -45,8 +45,8 @@ store changes no answer and no witness, only the time to reach it.
 
 A leaf's witness is nudged off the slope-tie walls by small shifts.  The
 ties are found by `tropical.slope_groups`, the table that `check_slopes`
-and `classify` read too, on each candidate's cleared denominators, so in
-integer arithmetic; one `extract` per leaf confirms the type.
+and `classify` read too, on each candidate's cleared denominators, and one
+`extract` of those same integers confirms the type, without dividing.
 """
 
 from __future__ import annotations
@@ -409,20 +409,19 @@ def _genericize(
     by `slope_groups` on its cleared denominators, in integers: a tie is a
     group of more than one pair.  Inside the open cone the strict hull, Z
     and M forms exclude every other wall, so the first tie-free candidate
-    is a covector of `ctype`, which one `extract` confirms: its type is
-    `ctype` for a fine leaf, and its drop key is `ctype` for a key leaf.
+    is a covector of `ctype`, which one `extract` of its integers confirms
+    (a positive scaling keeps the type): its type is `ctype` for a fine
+    leaf, and its drop key is `ctype` for a key leaf.
     """
     span = support.high - support.low
     for values, denominator in _candidates(system, witness, span):
         groups = slope_groups(support.points, values)
         if all(len(pairs) == 1 for pairs in groups):
             # for a fine leaf, drop_key(found) == ctype forces found == ctype
-            found = extract(support, Covector(support, values))
+            found = extract(support, values)
             if found != ctype and drop_key(found) != ctype:
                 raise AssertionError("witness outside its cone (internal bug)")
-            return Covector(
-                support, tuple(Fraction(x, denominator) for x in values)
-            )
+            return Covector(support, tuple(Fraction(x, denominator) for x in values))
     raise MorsekitError("could not move a cone's witness off the slope ties")
 
 

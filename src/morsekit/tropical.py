@@ -21,7 +21,7 @@ open, so interior-point generation belongs to the enumeration layer).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -120,13 +120,7 @@ class Covector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
-        if len(vals) != len(self.support):
-            raise CovectorError(
-                f"{len(vals)} values for {len(self.support)} support points"
-            )
-        if any(v < 0 for v in vals):
-            raise CovectorError(f"negative entries not allowed: {vals}")
+        vals = _values(self.support, (Fraction(v) for v in self.values))
         object.__setattr__(self, "values", vals)
 
     def __call__(self, p: int) -> Fraction:
@@ -167,6 +161,22 @@ class Covector:
 
     def to_json(self) -> list:
         return [rational_to_json(v) for v in self.values]
+
+
+def _values(support: SupportSet, gamma) -> tuple:
+    """A Covector's values as they are, or raw values checked once."""
+    if isinstance(gamma, Covector):
+        return gamma.values
+    values = tuple(gamma)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise CovectorError(f"not an int or a Fraction: {v!r}")
+    if len(values) != len(support):
+        raise CovectorError(f"{len(values)} values for {len(support)} support points")
+    if any(v < 0 for v in values):
+        wire = json.dumps([rational_to_json(v) for v in values])
+        raise CovectorError(f"negative entries not allowed: {wire}")
+    return values
 
 
 def covector_from_values(support: SupportSet, values) -> Covector:
@@ -225,29 +235,28 @@ def convex_hull_2d(points) -> list:
     return _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
 
 
-def _edge_value(gamma: Covector, u: int, v: int, p: int) -> Fraction:
-    """Height of the segment through the lifted points at u and v, at x=p."""
-    return (gamma(u) * (v - p) + gamma(v) * (p - u)) / Fraction(v - u)
+def _hull(points, values) -> list:
+    """Upper-hull vertices (p, g(p)), left to right; DegenerateHull when a
+    non-vertex p over edge (u, v) has g(p)(v - u) == g(u)(v - p) + g(v)(p - u)."""
+    hull = _chain(zip(reversed(points), reversed(values)))[::-1]
+    edges = zip(hull, hull[1:])
+    (u, gu), (v, gv) = next(edges)
+    for p, gp in zip(points[1:-1], values[1:-1]):
+        if p == v:
+            (u, gu), (v, gv) = next(edges)
+        elif gp * (v - u) == gu * (v - p) + gv * (p - u):
+            raise DegenerateHull(p, (u, v))
+    return hull
 
 
-def upper_hull(support: SupportSet, gamma: Covector) -> list[int]:
+def upper_hull(support: SupportSet, gamma) -> list[int]:
     """Exponents whose lifted points are vertices of the upper hull.
 
-    The two base points (a_0, 0) and (a_max, 0) of the Newton polygon cannot
-    displace hull membership for nonnegative gamma, so the hull is computed
-    over the lifted points alone.  Raises DegenerateHull if some non-vertex
-    lifted point lies exactly on a hull edge.
+    gamma as for `extract`.  The base points (a_0, 0), (a_max, 0) of the
+    Newton polygon cannot displace hull membership for nonnegative gamma.
+    Raises DegenerateHull if a non-vertex lifted point lies on a hull edge.
     """
-    w = gamma.hull_vertices()
-    wset = set(w)
-    for p in support.points:
-        if p in wset:
-            continue
-        j = bisect_right(w, p) - 1  # covering edge: w[j] < p < w[j+1]
-        u, v = w[j], w[j + 1]
-        if gamma(p) == _edge_value(gamma, u, v, p):
-            raise DegenerateHull(p, (u, v))
-    return w
+    return [p for p, _ in _hull(support.points, _values(support, gamma))]
 
 
 def roots_and_values(
@@ -310,15 +319,15 @@ def slope_groups(points, values) -> list[list[tuple[int, int]]]:
     return list(groups.values())
 
 
-def check_slopes(support: SupportSet, gamma: Covector) -> None:
+def check_slopes(support: SupportSet, gamma) -> None:
     """Assert that no two distinct exponent pairs span equal slopes.
 
-    This is the global genericity condition the orderings M^j rely on.  The
-    witness is the first two pairs of the first group of `slope_groups`
-    with more than one, which is the first tie a scan over all pairs of
-    pairs in lexicographic order would meet.
+    gamma as for `extract`.  This is the global genericity condition the
+    orderings M^j rely on.  The witness is the first two pairs of the first
+    group of `slope_groups` with more than one, which is the first tie a
+    scan over all pairs of pairs in lexicographic order would meet.
     """
-    for pairs in slope_groups(support.points, gamma.values):
+    for pairs in slope_groups(support.points, _values(support, gamma)):
         if len(pairs) > 1:
             raise SlopeDegenerate(pairs[0], pairs[1])
 
@@ -331,29 +340,36 @@ def _first_equal_pair(values) -> tuple[int, int, Fraction] | None:
     return None
 
 
-def extract(support: SupportSet, gamma: Covector) -> CombinatorialType:
+def extract(support: SupportSet, gamma) -> CombinatorialType:
     """Extract (W, Z, M) from a generic covector.
 
-    Raises DegenerateHull, SlopeDegenerate or RootValueDegenerate when the
-    covector sits on a wall between cones.
+    gamma is a Covector, or its values aligned with the sorted support as
+    ints or Fractions, checked once (CovectorError on a bool, a float, a
+    wrong length or a negative entry); a Covector is not checked again.
+    Nothing is divided, so integers stay integers.  With d_j = v - u the
+    width of hull edge j = (u, v) and L the lcm of the widths, M^j sorts by
+    g(p) L + p (g(u) - g(v)) (L // d_j), L / d_j times monomial p's value at
+    root j, and root values compare by it at p = u, (v g(u) - u g(v)) (L // d_j).
+    Raises DegenerateHull, SlopeDegenerate or RootValueDegenerate.
     """
-    w = upper_hull(support, gamma)
-    check_slopes(support, gamma)
-    rv = roots_and_values(support, gamma, w)
-    values = [phi for _, phi in rv]
-    tie = _first_equal_pair(values)
+    values = _values(support, gamma)
+    hull = _hull(support.points, values)
+    check_slopes(support, gamma if isinstance(gamma, Covector) else values)
+    edges = list(zip(hull, hull[1:]))
+    scale = lcm(*(v - u for (u, _), (v, _) in edges))
+    scaled = {p: gp * scale for p, gp in zip(support.points, values)}
+    rises = [(gu - gv) * (scale // (v - u)) for (u, gu), (v, gv) in edges]
+    keys = [scaled[u] + rise * u for ((u, _), _), rise in zip(edges, rises)]
+    tie = _first_equal_pair(keys)
     if tie is not None:
-        raise RootValueDegenerate(*tie)
-    z = tuple(sorted(range(len(values)), key=lambda j: values[j]))
+        raise RootValueDegenerate(*tie[:2], Fraction(tie[2], scale))
+    z = tuple(sorted(range(len(keys)), key=keys.__getitem__))
     m = []
-    for j, (u, v) in enumerate(zip(w, w[1:])):
-        r = rv[j][0]
-        others = [p for p in support.points if p != u and p != v]
-        # decreasing monomial value at the root; ties are excluded by the
-        # slope check above
-        others.sort(key=lambda p: gamma(p) + p * r, reverse=True)
-        m.append(tuple(others))
-    return CombinatorialType(tuple(w), z, tuple(m))
+    for ((u, _), (v, _)), rise in zip(edges, rises):
+        # decreasing monomial value at the root; the slope check excludes ties
+        key = {p: gp + rise * p for p, gp in scaled.items() if p != u and p != v}
+        m.append(tuple(sorted(key, key=key.__getitem__, reverse=True)))
+    return CombinatorialType(tuple(p for p, _ in hull), z, tuple(m))
 
 
 # --- Morse classification ------------------------------------------------------

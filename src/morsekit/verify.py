@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DegeneracyError
 from .fiber import (
@@ -40,15 +39,18 @@ from .tropical import CombinatorialType, Covector, SupportSet, extract
 def sample_morse_covector(
     support: SupportSet, rng: random.Random, *, bound: int = 50
 ) -> tuple[Covector, CombinatorialType, int]:
-    """A Morse covector from the seeded grid, its type, and the resample count."""
+    """A Morse covector from the seeded grid, its type, and the resample count.
+
+    Draws are extracted as integers; only the accepted one becomes a Covector."""
     resamples = 0
     while True:
-        values = tuple(Fraction(rng.randint(0, bound)) for _ in support.points)
-        gamma = Covector(support, values)
+        values = tuple(rng.randint(0, bound) for _ in support.points)
         try:
-            return gamma, extract(support, gamma), resamples
+            ctype = extract(support, values)
         except DegeneracyError:
             resamples += 1
+            continue
+        return Covector(support, values), ctype, resamples
 
 
 @dataclass

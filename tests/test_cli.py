@@ -120,6 +120,16 @@ def test_witness_left_on_a_slope_tie_exit_one(capsys, monkeypatch):
     assert err == "error: could not move a cone's witness off the slope ties\n"
 
 
+@pytest.mark.parametrize(
+    "gamma,shown",
+    [("[1,2,3,-1]", "[1, 2, 3, -1]"), ('[1,"1/2",3,"-1/3"]', '[1, "1/2", 3, "-1/3"]')],
+)
+def test_negative_entry_shown_in_the_wire_format(capsys, gamma, shown):
+    code, out, err = run(capsys, "mu", '{"A":[1,2,3,4],"gamma":%s}' % gamma)
+    assert code == 1 and out == ""
+    assert err == f"error: negative entries not allowed: {shown}\n"
+
+
 def test_rational_gamma_strings(capsys):
     code, out, _ = run(
         capsys,
@@ -513,6 +523,19 @@ def test_usage_errors_exit_one(capsys, argv):
 def test_help_exits_zero(capsys):
     code, out, _ = run_usage(capsys, "verify", "--help")
     assert code == 0 and "--max-support-size" in out
+
+
+@pytest.mark.parametrize("cap", ["2", "0", "-5"])
+@pytest.mark.parametrize("command", ["enumerate", "polytope", "verify", "plot"])
+def test_support_cap_below_three_is_a_usage_error(capsys, command, cap):
+    # no valid support has fewer than 3 points; refused before the input
+    # is read, so the missing file is never reported
+    code, out, err = run_usage(
+        capsys, command, "no-such-input.json", "--max-support-size", cap
+    )
+    assert code == 1 and out == "" and "usage:" in err
+    message = f"error: argument --max-support-size: must be >= 3, got {cap}\n"
+    assert err.endswith(message)
 
 
 def test_verify_honours_max_support_size(capsys):

@@ -12,6 +12,7 @@ from morsekit import (
     Covector,
     StrictSystem,
     SupportTooLarge,
+    build_polytope,
     cone_constraints,
     enumerate_types,
     extract,
@@ -366,6 +367,40 @@ def test_genericize_moves_a_tied_witness_into_its_cone(deg4_support):
     other = CombinatorialType((1, 4), (0,), ((3, 2),))
     with pytest.raises(AssertionError, match="outside its cone"):
         _genericize(deg4_support, system, witness, other)
+
+
+def test_a_leaf_confirmed_as_another_type_stops_the_build(monkeypatch, mixed_support):
+    # the confirming extract decides: one leaf reported with M^0 reversed
+    original = cones.extract
+    calls = []
+
+    def wrong_once(support, values):
+        found = original(support, values)
+        calls.append(values)
+        if len(calls) > 1:
+            return found
+        return CombinatorialType(found.w, found.z, (found.m[0][::-1], *found.m[1:]))
+
+    monkeypatch.setattr(cones, "extract", wrong_once)
+    message = r"witness outside its cone \(internal bug\)"
+    with pytest.raises(AssertionError, match=message):
+        build_polytope(mixed_support)
+
+
+def test_each_leaf_is_confirmed_once_on_integers(monkeypatch, mixed_support):
+    # the fine build of [-3,-1,1,2,4] has 105 leaves, and each is confirmed
+    # by one extract of its candidate's integers, never of a Covector
+    original = cones.extract
+    seen = []
+
+    def recording(support, values):
+        seen.append(values)
+        return original(support, values)
+
+    monkeypatch.setattr(cones, "extract", recording)
+    assert len(build_polytope(mixed_support).cones) == 105
+    assert len(seen) == 105
+    assert all(type(v) is tuple and {type(x) for x in v} == {int} for v in seen)
 
 
 # --- enumeration ----------------------------------------------------------------------

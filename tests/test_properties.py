@@ -24,6 +24,7 @@ from morsekit import (  # noqa: E402
     validate_support,
 )
 from morsekit.errors import (  # noqa: E402
+    DegenerateHull,
     DegeneracyError,
     DuplicatePoint,
     NotGenerating,
@@ -34,11 +35,13 @@ from morsekit.errors import (  # noqa: E402
 )
 from morsekit.rationals import (  # noqa: E402
     clear_denominators,
+    common_denominator,
     parse_rational,
     rational_to_json,
 )
 from morsekit.tropical import check_slopes, slope_groups  # noqa: E402
 from conftest import time_limit  # noqa: E402
+from reference_extract import reference_extract  # noqa: E402
 from reference_simplex import reference_feasible  # noqa: E402
 from reference_slopes import reference_check_slopes, reference_classify  # noqa: E402
 
@@ -356,6 +359,34 @@ def test_slope_groups_agree_on_cleared_denominators(gamma):
     assert slope_groups(points, clear_denominators(values)) == slope_groups(
         points, values
     )
+
+
+def _extract_verdict(extract_fn, support, gamma, scale=1):
+    """The type, or the exception class and its witness, with a root value
+    divided by `scale`, the factor the covector was multiplied by."""
+    try:
+        return extract_fn(support, gamma)
+    except DegenerateHull as exc:
+        return type(exc), exc.point, exc.edge
+    except SlopeDegenerate as exc:
+        return type(exc), exc.pair_a, exc.pair_b
+    except RootValueDegenerate as exc:
+        assert type(exc.value) is Fraction
+        return type(exc), exc.index_a, exc.index_b, exc.value / scale
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_heavy_covectors())
+def test_extract_matches_the_reference_on_fractions_and_integers(gamma):
+    # extract never divides, so the cleared integers are worked in integers;
+    # a quotient of two ints anywhere would be a float, which loses the
+    # 10^60 + 1 support's digits
+    support = gamma.support
+    expected = _extract_verdict(reference_extract, support, gamma)
+    assert _extract_verdict(extract, support, gamma) == expected
+    integers = clear_denominators(gamma.values)
+    scale = common_denominator(gamma.values)
+    assert _extract_verdict(extract, support, integers, scale) == expected
 
 
 SUPPORT_RULES = (

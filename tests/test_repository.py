@@ -45,6 +45,7 @@ def test_readme_library_block():
     A = ns["A"]
     ctype = values["ctype = mk.extract(A, gamma)"]
     assert (ctype.w, ctype.z) == ((-3, -1, 2, 4), (1, 0, 2))
+    assert values["mk.extract(A, [3, 5, 2, 5, 1])"] == ctype
 
     mu = values["mk.mu_value(A, gamma)"]
     assert type(mu) is Fraction and mu == Fraction(394)
@@ -94,3 +95,53 @@ def test_private_import_guard_sees_relative_imports(tmp_path):
     module = tmp_path / "example.py"
     module.write_text("from .cones import feasible, _solve\nfrom math import _x\n")
     assert _private_imports(module) == ["example.py:1 imports _solve"]
+
+
+# Exact arithmetic everywhere; floats only where the SVG drawing needs pixel
+# coordinates, in these functions of polytope.py (nested ones included).
+SVG_CODE = {("polytope.py", "_fmt"), ("polytope.py", "render_svg")}
+
+
+def _float_calls(path: Path) -> list[str]:
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            owner = function
+            if function is None and isinstance(child, ast.FunctionDef):
+                owner = child.name
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "float"
+                and (path.name, owner) not in SVG_CODE
+            ):
+                found.append(f"{path.name}:{child.lineno} calls float")
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_calls_float_outside_the_svg_code(path):
+    assert _float_calls(path) == []
+
+
+def test_float_guard_sees_calls_outside_the_svg_code(tmp_path):
+    source = (
+        "def _fmt(x):\n"
+        "    return float(x)\n"
+        "def render_svg(p):\n"
+        "    def ty(y):\n"
+        "        return float(y)\n"
+        "def area(p):\n"
+        "    return isinstance(p, float) or float(p)\n"
+        "SCALE = float('1')\n"
+    )
+    svg = tmp_path / "polytope.py"
+    svg.write_text(source)
+    assert _float_calls(svg) == [f"polytope.py:{n} calls float" for n in (7, 8)]
+    other = tmp_path / "fiber.py"
+    other.write_text(source)
+    assert _float_calls(other) == [f"fiber.py:{n} calls float" for n in (2, 5, 7, 8)]

@@ -82,6 +82,31 @@ def test_covector_rejects_negative_and_mismatch(mixed_support):
         Covector(mixed_support, (1, 2, 3, 4, 5)).scaled(-1)
 
 
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ((3, 5, 2, 5, True), "not an int or a Fraction: True"),
+        ((3, 5, 2, 5, 1.0), "not an int or a Fraction: 1.0"),
+        ((3, 5, 2, 5), "4 values for 5 support points"),
+        (
+            (3, 5, Fraction(-1, 2), 5, 1),
+            'negative entries not allowed: [3, 5, "-1/2", 5, 1]',
+        ),
+    ],
+)
+def test_raw_values_are_checked_once(mixed_support, values, message):
+    for kernel in (extract, upper_hull, check_slopes):
+        with pytest.raises(CovectorError) as excinfo:
+            kernel(mixed_support, values)
+        assert str(excinfo.value) == message
+
+
+def test_raw_values_answer_as_the_covector(mixed_support, mixed_gamma):
+    for raw in ((3, 5, 2, 5, 1), [Fraction(3), 5, 2, Fraction(10, 2), 1]):
+        assert extract(mixed_support, raw) == extract(mixed_support, mixed_gamma)
+        assert upper_hull(mixed_support, raw) == [-3, -1, 2, 4]
+
+
 def test_combinatorial_type_invariants():
     CombinatorialType((1, 3, 4), (1, 0), ((2,), (2,)))
     for w, z, m in (
