@@ -123,11 +123,17 @@ def fiber_polygon(
     """
     if ctype is None:
         ctype = _extract_or_not_morse(support, gamma)
+    return trapezoid_stack(support, gamma, ctype, area_newton(support, gamma))
+
+
+def trapezoid_stack(
+    support: SupportSet, gamma: Covector, ctype: CombinatorialType, base: Fraction
+) -> FiberPolygon:
+    """`fiber_polygon` read off a type and its Newton area `base`, computed once."""
     w = list(ctype.w)
     s = _edge_areas(gamma, w)
     d = [w[i + 1] - w[i] for i in range(len(w) - 1)]
 
-    base = area_newton(support, gamma)
     if support.low > 0:
         base += support.low * gamma(w[0])
     elif support.high < 0:
@@ -214,7 +220,13 @@ def strata_counts(
         mu = mu_value(support, gamma, shift)
     else:
         mu = gamma.dot(mu_coeffs(support, ctype, shift))
-    area = area_newton(support, gamma)
+    return solve_strata(gamma, ctype, shift, area_newton(support, gamma), mu)
+
+
+def solve_strata(
+    gamma: Covector, ctype: CombinatorialType, shift: ShiftConfig, area, mu
+) -> StrataCounts:
+    """`strata_counts` read off a type, the Newton area and mu, computed once."""
     w0, wk = ctype.w[0], ctype.w[-1]
     n_a2 = area - gamma(w0) - gamma(wk)
     doubled = mu - n_a2

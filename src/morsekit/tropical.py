@@ -120,7 +120,7 @@ class Covector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = _values(self.support, (Fraction(v) for v in self.values))
+        vals = _values(self.support, (_exact(v) for v in self.values))
         object.__setattr__(self, "values", vals)
 
     def __call__(self, p: int) -> Fraction:
@@ -161,6 +161,12 @@ class Covector:
 
     def to_json(self) -> list:
         return [rational_to_json(v) for v in self.values]
+
+
+def _exact(v) -> Fraction:
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise CovectorError(f"not an exact value: {v!r}")  # as in parse_rational
+    return Fraction(v)
 
 
 def _values(support: SupportSet, gamma) -> tuple:

@@ -3,8 +3,8 @@
 Checks a built polytope against the support and the shift it was built
 with.  Samples integer covectors uniformly from {0, ..., 50}^|A|, resampling
 on degeneracy (walls have measure zero but positive probability on a grid).
-The sampler's genericity test extracts each sample's combinatorial type, and
-that one type serves every check below.  On each sample:
+The sampler's genericity test extracts each sample's type; that one type,
+one shoelace Newton area and one mu serve every check.  On each sample:
 
   * dominance: the maximum of <vertex, gamma> over the polytope equals the
     support-function value, attained exactly at the extracted cone's vertex;
@@ -26,8 +26,8 @@ from .errors import DegeneracyError
 from .fiber import (
     area_newton,
     area_newton_formula,
-    fiber_polygon,
-    strata_counts,
+    solve_strata,
+    trapezoid_stack,
     vol_fiber_closed,
 )
 from .polytope import MorsePolytope
@@ -153,17 +153,17 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
                 break
         dual_c.record(ok, gamma, detail)
 
+        shoelace = area_newton(support, gamma)
         closed = vol_fiber_closed(support, gamma, ctype)
-        stacked = fiber_polygon(support, gamma, ctype).area()
+        stacked = trapezoid_stack(support, gamma, ctype, shoelace).area()
         dual_vol.record(closed == stacked, gamma, f"closed={closed} stack={stacked}")
 
-        shoelace = area_newton(support, gamma)
         formula = area_newton_formula(support, gamma)
         dual_area.record(
             shoelace == formula, gamma, f"shoelace={shoelace} formula={formula}"
         )
 
-        counts = strata_counts(support, gamma, shift, ctype)
+        counts = solve_strata(gamma, ctype, shift, shoelace, mu)
         w0, wk = ctype.w[0], ctype.w[-1]
         eq1 = (
             counts.chi_a1 + 2 * counts.n_2a1 + 2 * counts.n_a2 == -shoelace

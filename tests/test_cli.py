@@ -303,6 +303,22 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     )
 
 
+def test_verify_checks_the_shared_area_against_the_edge_sums(capsys, monkeypatch):
+    import morsekit.verify as verify_mod
+
+    # the one shoelace area each sample computes feeds the fiber and strata
+    # checks; the edge-sum route must still catch it when it is wrong
+    real = verify_mod.area_newton
+    monkeypatch.setattr(verify_mod, "area_newton", lambda s, g: real(s, g) + 1)
+    code, out, _ = run(
+        capsys, "verify", '{"A": [-3,-1,1,2,4]}', "--samples", "3", "--seed", "7"
+    )
+    assert code == 3
+    assert "FAIL newton_area_dual_route: 0 ok, 3 bad" in out
+    # the trapezoid stack reads the same area; the closed form does not
+    assert "FAIL fiber_volume_dual_route: 0 ok, 3 bad" in out
+
+
 @pytest.mark.parametrize("shift", ["1,0", "0,1"])
 def test_verify_passes_under_odd_shifts(capsys, shift):
     # an odd c1 or c2 makes 2*n_2a1 odd on some covectors; that is the

@@ -96,6 +96,32 @@ def test_property_suite_extracts_once_per_draw(monkeypatch, mixed_support):
     assert len(calls) == result.samples + result.resamples
 
 
+def test_verify_computes_one_area_and_one_mu_per_sample(monkeypatch, mixed_support):
+    # the sample's shoelace area and its mu are computed once and read by the
+    # fiber, strata and dominance checks; the build adds one mu_coeffs per key
+    calls = {"area_newton": 0, "mu_coeffs": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        original = getattr(sys.modules["morsekit"], name)
+        wrapper = counting(name, original)
+        for module_name, module in list(sys.modules.items()):
+            bound = getattr(module, name, None) is original
+            if bound and module_name.split(".")[0] == "morsekit":
+                monkeypatch.setattr(module, name, wrapper)
+    poly = build_polytope(mixed_support, keys=True)
+    assert (len(poly.vertices), calls["mu_coeffs"]) == (16, 16)
+    result = run_property_suite(poly, 200, 1)
+    assert result.ok and result.samples == 200
+    assert calls == {"area_newton": 200, "mu_coeffs": 216}
+
+
 def test_shift_equivariance(deg4_support):
     base = build_polytope(deg4_support, ShiftConfig(0, 0))
     moved = build_polytope(deg4_support, ShiftConfig(3, -2))

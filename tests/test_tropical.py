@@ -83,6 +83,23 @@ def test_covector_rejects_negative_and_mismatch(mixed_support):
 
 
 @pytest.mark.parametrize(
+    "first",
+    [0.1, 0.5, True, False, float("inf"), float("nan")],
+    ids=repr,
+)
+def test_covector_refuses_inexact_values(mixed_support, first):
+    # a float that is not an integer carries its binary rounding, and a bool
+    # is no number: the constructor refuses both, as parse_rational does
+    with pytest.raises(CovectorError, match=f"not an exact value: {first!r}"):
+        Covector(mixed_support, (first, 5, 2, 5, 1))
+
+
+def test_covector_keeps_integral_floats_exact(mixed_support, mixed_gamma):
+    assert Covector(mixed_support, (3.0, 5, 2.0, 5, 1)) == mixed_gamma
+    assert covector_from_values(mixed_support, (3.0, 5, 2.0, 5, 1)) == mixed_gamma
+
+
+@pytest.mark.parametrize(
     "values,message",
     [
         ((3, 5, 2, 5, True), "not an int or a Fraction: True"),
