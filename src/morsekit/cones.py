@@ -43,10 +43,10 @@ counts as contained (the learned explanations of Dutertre and de Moura's
 simplex-based solver).  A core is only ever a proof of emptiness, so the
 store changes no answer and no witness, only the time to reach it.
 
-A leaf's witness is nudged off the slope-tie walls by small shifts.  The
-ties are found by `tropical.slope_groups`, the table that `check_slopes`
-and `classify` read too, on each candidate's cleared denominators, and one
-`extract` of those same integers confirms the type, without dividing.
+A leaf's witness is nudged off the slope-tie walls by small shifts.  One
+`extract` of each candidate's cleared denominators finds the ties, through
+its `check_slopes`, and confirms the type of the first tie-free candidate,
+without dividing.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from math import gcd
 
-from .errors import MorsekitError, SupportTooLarge
+from .errors import MorsekitError, SlopeDegenerate, SupportTooLarge
 from .rationals import clear_denominators
 from .singularity import drop_key
-from .tropical import CombinatorialType, Covector, SupportSet, extract, slope_groups
+from .tropical import CombinatorialType, Covector, SupportSet, extract
 
 Form = tuple[int, ...]
 
@@ -405,23 +405,23 @@ def _genericize(
     open cone while leaving every nonzero linear form in finitely many bad
     positions.  The candidates are the witness, then the shifts for
     eps = 2^-4, 2^-6, ... that satisfy the system strictly (see
-    `_exponents` for where the ladder ends).  Each is tested for slope ties
-    by `slope_groups` on its cleared denominators, in integers: a tie is a
-    group of more than one pair.  Inside the open cone the strict hull, Z
-    and M forms exclude every other wall, so the first tie-free candidate
-    is a covector of `ctype`, which one `extract` of its integers confirms
-    (a positive scaling keeps the type): its type is `ctype` for a fine
-    leaf, and its drop key is `ctype` for a key leaf.
+    `_exponents` for where the ladder ends).  Each is extracted on its
+    cleared denominators, in integers.  Inside the open cone the strict
+    hull, Z and M forms exclude every other wall, so `extract` can only
+    raise SlopeDegenerate, and the first candidate it accepts is a covector
+    of `ctype` (a positive scaling keeps the type): its type is `ctype` for
+    a fine leaf, and its drop key is `ctype` for a key leaf.
     """
     span = support.high - support.low
     for values, denominator in _candidates(system, witness, span):
-        groups = slope_groups(support.points, values)
-        if all(len(pairs) == 1 for pairs in groups):
-            # for a fine leaf, drop_key(found) == ctype forces found == ctype
+        try:
             found = extract(support, values)
-            if found != ctype and drop_key(found) != ctype:
-                raise AssertionError("witness outside its cone (internal bug)")
-            return Covector(support, tuple(Fraction(x, denominator) for x in values))
+        except SlopeDegenerate:
+            continue
+        # for a fine leaf, drop_key(found) == ctype forces found == ctype
+        if found != ctype and drop_key(found) != ctype:
+            raise AssertionError("witness outside its cone (internal bug)")
+        return Covector(support, tuple(Fraction(x, denominator) for x in values))
     raise MorsekitError("could not move a cone's witness off the slope ties")
 
 

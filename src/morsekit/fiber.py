@@ -18,48 +18,38 @@ from .support_function import ShiftConfig, mu_coeffs, mu_value
 from .tropical import CombinatorialType, Covector, SupportSet, extract
 
 
-def _edge_areas(gamma: Covector, w: list[int]) -> list[Fraction]:
+def _edge_areas(gamma: Covector, w: list[int]) -> list[int | Fraction]:
     """Oriented triangle areas S_j = w_{j+1} gamma(w_j) - w_j gamma(w_{j+1})."""
     return [v * gamma(u) - u * gamma(v) for u, v in zip(w, w[1:])]
 
 
 def newton_polygon_vertices(
     support: SupportSet, gamma: Covector
-) -> list[tuple[Fraction, Fraction]]:
+) -> list[tuple[int, int | Fraction]]:
     """Counterclockwise vertex cycle of the Newton polygon.
 
     The polygon is the hull of the lifted points together with the two base
     points (a_0, 0) and (a_max, 0); consecutive duplicates (when an endpoint
     value is 0) are merged.
     """
-    w = gamma.hull_vertices()
-    cycle: list[tuple[Fraction, Fraction]] = [
-        (Fraction(support.low), Fraction(0)),
-        (Fraction(support.high), Fraction(0)),
-    ]
-    for p in reversed(w):
-        cycle.append((Fraction(p), gamma(p)))
-    deduped = [pt for i, pt in enumerate(cycle) if pt != cycle[(i + 1) % len(cycle)]]
-    return deduped
+    cycle = [(support.low, 0), (support.high, 0)]
+    cycle += [(p, gamma(p)) for p in reversed(gamma.hull_vertices())]
+    return [pt for i, pt in enumerate(cycle) if pt != cycle[(i + 1) % len(cycle)]]
 
 
-def area_newton(support: SupportSet, gamma: Covector) -> Fraction:
+def area_newton(support: SupportSet, gamma: Covector) -> int | Fraction:
     """Lattice area of the Newton polygon by the exact shoelace sum."""
     cycle = newton_polygon_vertices(support, gamma)
-    total = Fraction(0)
+    total = 0
     for (x0, y0), (x1, y1) in zip(cycle, cycle[1:] + cycle[:1]):
         total += x0 * y1 - x1 * y0
     return total
 
 
-def area_newton_formula(support: SupportSet, gamma: Covector) -> Fraction:
+def area_newton_formula(support: SupportSet, gamma: Covector) -> int | Fraction:
     """Same area through the edge sums: sum S_j + w_k g(w_k) - w_0 g(w_0)."""
     w = gamma.hull_vertices()
-    return (
-        sum(_edge_areas(gamma, w), start=Fraction(0))
-        + w[-1] * gamma(w[-1])
-        - w[0] * gamma(w[0])
-    )
+    return sum(_edge_areas(gamma, w)) + w[-1] * gamma(w[-1]) - w[0] * gamma(w[0])
 
 
 def _extract_or_not_morse(support: SupportSet, gamma: Covector) -> CombinatorialType:
@@ -77,7 +67,7 @@ class FiberPolygon:
     gap between bases i and i+1 and equals the hull-edge length d_{z_{i+1}}.
     """
 
-    bases: tuple[Fraction, ...]
+    bases: tuple[int | Fraction, ...]
     heights: tuple[int, ...]
 
     @property
@@ -95,9 +85,9 @@ class FiberPolygon:
         pts.append((Fraction(0), y))
         return [pt for i, pt in enumerate(pts) if pt != pts[(i + 1) % len(pts)]]
 
-    def area(self) -> Fraction:
+    def area(self) -> int | Fraction:
         """Lattice area as the sum of the trapezoid areas."""
-        total = Fraction(0)
+        total = 0
         for lo, hi, h in zip(self.bases, self.bases[1:], self.heights):
             total += (lo + hi) * h
         return total
@@ -127,7 +117,7 @@ def fiber_polygon(
 
 
 def trapezoid_stack(
-    support: SupportSet, gamma: Covector, ctype: CombinatorialType, base: Fraction
+    support: SupportSet, gamma: Covector, ctype: CombinatorialType, base: int | Fraction
 ) -> FiberPolygon:
     """`fiber_polygon` read off a type and its Newton area `base`, computed once."""
     w = list(ctype.w)
@@ -151,7 +141,7 @@ def trapezoid_stack(
 
 def vol_fiber_closed(
     support: SupportSet, gamma: Covector, ctype: CombinatorialType | None = None
-) -> Fraction:
+) -> int | Fraction:
     """Closed-form lattice area of the fiber polygon.
 
     sum over root-order positions of S_{z_j} (d_{z_j} + 2 sum of earlier d),
@@ -164,7 +154,7 @@ def vol_fiber_closed(
     k = ctype.k
     s = _edge_areas(gamma, list(w))
     d = [w[i + 1] - w[i] for i in range(k)]
-    total = Fraction(0)
+    total = 0
     run = 0
     for zj in ctype.z:
         total += s[zj] * (d[zj] + run)

@@ -114,16 +114,21 @@ def validate_support(raw) -> SupportSet:
 
 @dataclass(frozen=True)
 class Covector:
-    """Exact nonnegative rational coefficients aligned with a support set."""
+    """Exact nonnegative rational coefficients aligned with a support set.
+
+    Each value is an int or a Fraction, and an int given stays an int, so an
+    integer covector computes in ints.  Mind that `/` on two values that are
+    ints gives a float: divide by a Fraction, as `roots_and_values` does.
+    """
 
     support: SupportSet
-    values: tuple[Fraction, ...]
+    values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         vals = _values(self.support, (_exact(v) for v in self.values))
         object.__setattr__(self, "values", vals)
 
-    def __call__(self, p: int) -> Fraction:
+    def __call__(self, p: int) -> int | Fraction:
         return self.values[self.support.index(p)]
 
     @cached_property
@@ -151,7 +156,8 @@ class Covector:
         return [x for x, _ in reversed(_chain(lifted))]
 
     def scaled(self, factor) -> "Covector":
-        factor = Fraction(factor)
+        """This covector times `factor`; an int factor keeps int values ints."""
+        factor = _exact(factor)
         if factor < 0:
             raise CovectorError("scaling factor must be nonnegative")
         return Covector(self.support, tuple(v * factor for v in self.values))
@@ -163,10 +169,10 @@ class Covector:
         return [rational_to_json(v) for v in self.values]
 
 
-def _exact(v) -> Fraction:
+def _exact(v) -> int | Fraction:
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
         raise CovectorError(f"not an exact value: {v!r}")  # as in parse_rational
-    return Fraction(v)
+    return v if isinstance(v, int) else Fraction(v)
 
 
 def _values(support: SupportSet, gamma) -> tuple:

@@ -11,8 +11,9 @@ one shoelace Newton area and one mu serve every check.  On each sample:
   * the gcd-ladder and level-scan routes to every C^j agree;
   * the closed-form and trapezoid-stack fiber areas agree;
   * the shoelace and edge-sum Newton areas agree;
-  * the three stratum-count relations hold, and twice the 2A1 count is
-    even once the shift's endpoint terms are taken off.
+  * the three stratum-count relations hold against |A2| from the cone's
+    own form, and twice the 2A1 count is even once the shift's endpoint
+    terms are taken off.
 
 Reports are deterministic for a fixed seed.
 """
@@ -32,7 +33,7 @@ from .fiber import (
 )
 from .polytope import MorsePolytope
 from .singularity import c_value, c_value_via_levels, gcd_ladder, level_scan
-from .support_function import mu_coeffs
+from .support_function import a2_coeffs, mu_coeffs
 from .tropical import CombinatorialType, Covector, SupportSet, extract
 
 
@@ -41,7 +42,8 @@ def sample_morse_covector(
 ) -> tuple[Covector, CombinatorialType, int]:
     """A Morse covector from the seeded grid, its type, and the resample count.
 
-    Draws are extracted as integers; only the accepted one becomes a Covector."""
+    Draws are extracted as integers; only the accepted one becomes a Covector,
+    whose values stay ints."""
     resamples = 0
     while True:
         values = tuple(rng.randint(0, bound) for _ in support.points)
@@ -164,11 +166,11 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
         )
 
         counts = solve_strata(gamma, ctype, shift, shoelace, mu)
+        # |A2| read off the cone's own form, not from the shoelace or mu
+        a2 = gamma.dot(a2_coeffs(support, ctype))
         w0, wk = ctype.w[0], ctype.w[-1]
-        eq1 = (
-            counts.chi_a1 + 2 * counts.n_2a1 + 2 * counts.n_a2 == -shoelace
-        )
-        eq2 = counts.n_a2 == shoelace - gamma(w0) - gamma(wk)
+        eq1 = counts.chi_a1 + 2 * counts.n_2a1 + 2 * a2 == -shoelace
+        eq2 = counts.n_a2 == a2
         # third relation, endpoint constants rebased to the raw convention
         c1_raw = shift.c1 - 3 * w0 - 2
         c2_raw = shift.c2 + 3 * wk - 2

@@ -26,7 +26,8 @@ def reference_check_slopes(support, gamma) -> None:
     by_slope: dict[Fraction, list[tuple[int, int]]] = {}
     for i, (p, gp) in enumerate(lifted):
         for q, gq in lifted[i + 1 :]:
-            by_slope.setdefault((gq - gp) / (q - p), []).append((p, q))
+            # a Fraction quotient: on int values `/` would divide in floats
+            by_slope.setdefault(Fraction(gq - gp, q - p), []).append((p, q))
     for pairs in by_slope.values():
         if len(pairs) > 1:
             raise SlopeDegenerate(pairs[0], pairs[1])

@@ -111,9 +111,9 @@ def test_support_entry_of_61_digits(capsys, command):
 
 
 def test_witness_left_on_a_slope_tie_exit_one(capsys, monkeypatch):
-    # every candidate reports the slopes of (1, 2) and (3, 4) tied
+    # every candidate's extract reports the slopes of (1, 2) and (3, 4) tied
     monkeypatch.setattr(
-        "morsekit.cones.slope_groups", lambda points, values: [[(1, 2), (3, 4)]]
+        "morsekit.tropical.slope_groups", lambda points, values: [[(1, 2), (3, 4)]]
     )
     code, out, err = run(capsys, "polytope", '{"A": [1, 2, 3, 4]}')
     assert code == 1 and out == ""
@@ -317,6 +317,9 @@ def test_verify_checks_the_shared_area_against_the_edge_sums(capsys, monkeypatch
     assert "FAIL newton_area_dual_route: 0 ok, 3 bad" in out
     # the trapezoid stack reads the same area; the closed form does not
     assert "FAIL fiber_volume_dual_route: 0 ok, 3 bad" in out
+    # the counts solved from that area disagree with |A2| from the cone's form
+    assert "FAIL strata_consistency: 0 ok, 3 bad" in out
+    assert "'eq1=False eq2=False eq3=False parity=False'" in out
 
 
 @pytest.mark.parametrize("shift", ["1,0", "0,1"])

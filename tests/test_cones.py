@@ -389,17 +389,24 @@ def test_a_leaf_confirmed_as_another_type_stops_the_build(monkeypatch, mixed_sup
 
 def test_each_leaf_is_confirmed_once_on_integers(monkeypatch, mixed_support):
     # the fine build of [-3,-1,1,2,4] has 105 leaves, and each is confirmed
-    # by one extract of its candidate's integers, never of a Covector
+    # by one extract of its candidate's integers, never of a Covector; that
+    # extract is also the tie test, so 28 tied candidates before them raise
     original = cones.extract
     seen = []
+    refused = []
 
     def recording(support, values):
         seen.append(values)
-        return original(support, values)
+        try:
+            return original(support, values)
+        except DegeneracyError as exc:
+            refused.append(type(exc))
+            raise
 
     monkeypatch.setattr(cones, "extract", recording)
     assert len(build_polytope(mixed_support).cones) == 105
-    assert len(seen) == 105
+    assert len(seen) - len(refused) == 105
+    assert refused == [SlopeDegenerate] * 28
     assert all(type(v) is tuple and {type(x) for x in v} == {int} for v in seen)
 
 

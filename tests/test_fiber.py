@@ -69,10 +69,14 @@ def test_area_routes_agree_on_samples():
     for pts in ([1, 2, 3, 4, 5], [-6, -4, -3, -2], [-3, -1, 1, 2, 4]):
         support = validate_support(pts)
         for _ in range(30):
-            gamma, _, _ = sample_morse_covector(support, rnd, bound=40)
-            assert area_newton(support, gamma) == area_newton_formula(
-                support, gamma
-            )
+            gamma, ctype, _ = sample_morse_covector(support, rnd, bound=40)
+            shoelace = area_newton(support, gamma)
+            formula = area_newton_formula(support, gamma)
+            assert shoelace == formula
+            # verify's samples hold ints, so its areas are computed in ints
+            assert {type(v) for v in gamma.values} == {int}
+            closed = vol_fiber_closed(support, gamma, ctype)
+            assert type(shoelace) is type(formula) is type(closed) is int
 
 
 # --- fiber polygon -----------------------------------------------------------------

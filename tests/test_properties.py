@@ -4,6 +4,7 @@ reference tie tests, and support validation."""
 
 import json
 import random
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -14,19 +15,32 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from morsekit import (  # noqa: E402
+    CombinatorialType,
     Covector,
     ShiftConfig,
     StrictSystem,
+    area_newton,
+    area_newton_formula,
+    c_value,
+    c_value_via_levels,
     classify,
+    covector_from_values,
     extract,
     feasible,
+    fiber_polygon,
+    level_scan,
     mu_value,
+    newton_polygon_vertices,
+    roots_and_values,
+    strata_counts,
     validate_support,
+    vol_fiber_closed,
 )
 from morsekit.errors import (  # noqa: E402
     DegenerateHull,
     DegeneracyError,
     DuplicatePoint,
+    MorsekitError,
     NotGenerating,
     RootValueDegenerate,
     SlopeDegenerate,
@@ -387,6 +401,67 @@ def test_extract_matches_the_reference_on_fractions_and_integers(gamma):
     integers = clear_denominators(gamma.values)
     scale = common_denominator(gamma.values)
     assert _extract_verdict(extract, support, integers, scale) == expected
+
+
+def _kernel_results(gamma) -> list:
+    """Every covector kernel's answer on gamma, an error as its class and text."""
+    support = gamma.support
+
+    def attempt(kernel, *args):
+        try:
+            return kernel(support, gamma, *args)
+        except MorsekitError as exc:
+            return type(exc), str(exc)
+
+    ctype = attempt(extract)
+    out = [ctype, attempt(roots_and_values, gamma.hull_vertices())]
+    out += [
+        attempt(kernel)
+        for kernel in (
+            classify,
+            mu_value,
+            area_newton,
+            area_newton_formula,
+            newton_polygon_vertices,
+            fiber_polygon,
+            vol_fiber_closed,
+            strata_counts,
+        )
+    ]
+    if isinstance(ctype, CombinatorialType):
+        for j in range(ctype.k):
+            out += [
+                attempt(kernel, ctype, j)
+                for kernel in (c_value, c_value_via_levels, level_scan)
+            ]
+    return out
+
+
+def _has_float(x) -> bool:
+    if isinstance(x, float):
+        return True
+    if is_dataclass(x) and not isinstance(x, type):
+        return any(_has_float(getattr(x, f.name)) for f in fields(x))
+    return isinstance(x, (tuple, list)) and any(map(_has_float, x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_int_covectors_compute_as_fraction_covectors(data):
+    # a Covector keeps ints as ints; every kernel must then answer exactly as
+    # on the same values parsed to Fractions, and never with a float
+    support = data.draw(st.sampled_from(TIE_SUPPORTS))
+    entry = data.draw(
+        st.sampled_from(
+            [st.integers(0, 3), st.integers(0, 50), st.integers(0, 10**12)]
+        )
+    )
+    values = data.draw(st.lists(entry, min_size=len(support), max_size=len(support)))
+    gamma = Covector(support, tuple(values))
+    assert {type(v) for v in gamma.values} == {int}
+    got = _kernel_results(gamma)
+    assert got == _kernel_results(covector_from_values(support, values))
+    assert not _has_float(got)
 
 
 SUPPORT_RULES = (

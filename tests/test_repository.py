@@ -65,6 +65,10 @@ def test_readme_library_block():
     assert values["mk.strata_counts(A, gamma, ctype=ctype)"] == counts
     assert values["mk.vol_fiber_closed(A, gamma, ctype)"] == 539
 
+    assert ns["ints"] == values["gamma = mk.covector_from_values(A, [3, 5, 2, 5, 1])"]
+    closed = values["mk.vol_fiber_closed(A, ints)"]
+    assert type(closed) is int and closed == 539
+
     sampled, sampled_type, resamples = ns["gamma"], ns["ctype"], ns["resamples"]
     assert mk.classify(A, sampled).is_morse
     assert mk.extract(A, sampled) == sampled_type

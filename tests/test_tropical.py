@@ -94,6 +94,30 @@ def test_covector_refuses_inexact_values(mixed_support, first):
         Covector(mixed_support, (first, 5, 2, 5, 1))
 
 
+@pytest.mark.parametrize(
+    "factor",
+    [0.1, 0.5, True, False, float("inf"), float("nan")],
+    ids=repr,
+)
+def test_scaled_refuses_inexact_factors(mixed_support, factor):
+    # scaled(0.1) once took the float's binary rounding, and scaled(True)
+    # was accepted as 1
+    with pytest.raises(CovectorError, match=f"not an exact value: {factor!r}"):
+        Covector(mixed_support, (3, 5, 2, 5, 1)).scaled(factor)
+
+
+def test_int_values_stay_ints(mixed_support, mixed_gamma):
+    gamma = Covector(mixed_support, (3, 5, 2, 5, 1))
+    assert gamma == mixed_gamma
+    assert [type(v) for v in gamma.values] == [int] * 5
+    assert [type(v) for v in gamma.scaled(2).values] == [int] * 5
+    assert [type(v) for v in gamma.scaled(2.0).values] == [Fraction] * 5
+    assert gamma.scaled(Fraction(1, 2)).values[0] == Fraction(3, 2)
+    assert [type(v) for v in mixed_gamma.values] == [Fraction] * 5
+    # dot still answers a Fraction
+    assert type(gamma.dot((1, 0, 0, 0, 0))) is Fraction
+
+
 def test_covector_keeps_integral_floats_exact(mixed_support, mixed_gamma):
     assert Covector(mixed_support, (3.0, 5, 2.0, 5, 1)) == mixed_gamma
     assert covector_from_values(mixed_support, (3.0, 5, 2.0, 5, 1)) == mixed_gamma
