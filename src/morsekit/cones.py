@@ -45,7 +45,7 @@ store changes no answer and no witness, only the time to reach it.
 
 A leaf's witness is nudged off the slope-tie walls by small shifts.  One
 `extract` of each candidate's cleared denominators finds the ties, through
-its `check_slopes`, and confirms the type of the first tie-free candidate,
+its slope check, and confirms the type of the first tie-free candidate,
 without dividing.
 """
 

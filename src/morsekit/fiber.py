@@ -217,6 +217,8 @@ def solve_strata(
     gamma: Covector, ctype: CombinatorialType, shift: ShiftConfig, area, mu
 ) -> StrataCounts:
     """`strata_counts` read off a type, the Newton area and mu, computed once."""
+    if not gamma.is_integral():
+        raise NonIntegerCovector("strata counts are defined for integer covectors")
     w0, wk = ctype.w[0], ctype.w[-1]
     n_a2 = area - gamma(w0) - gamma(wk)
     doubled = mu - n_a2

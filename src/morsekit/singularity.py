@@ -79,8 +79,11 @@ def c_coeffs(
 
 def c_value(
     support: SupportSet, gamma: Covector, ctype: CombinatorialType, j: int
-) -> Fraction:
-    """C^j evaluated at gamma (dot product of c_coeffs with the values)."""
+) -> int | Fraction:
+    """C^j evaluated at gamma (dot product of c_coeffs with the values).
+
+    An int on a covector of ints, otherwise a Fraction, as `Covector.dot`.
+    """
     return gamma.dot(c_coeffs(support, ctype, j))
 
 
@@ -190,12 +193,13 @@ def level_scan(
 
 def c_value_via_levels(
     support: SupportSet, gamma: Covector, ctype: CombinatorialType, j: int
-) -> Fraction:
+) -> int | Fraction:
     """C^j through the level route: -Vol(facet) * sum_l (i_l - 1).
 
     C^j is linear in gamma, so a rational gamma is scaled to integers by its
-    common denominator q, and the value is divided by q.
+    common denominator q, and the value is divided by q; an integral gamma
+    is scanned as it is.  The value has the type `c_value` gives.
     """
     q = common_denominator(gamma.values)
-    runs, ff = level_scan(support, gamma.scaled(q), ctype, j)
-    return Fraction(-ff.volume * sum((i - 1) * count for i, count in runs), q)
+    runs, ff = level_scan(support, gamma if q == 1 else gamma.scaled(q), ctype, j)
+    return gamma.from_cleared(-ff.volume * sum((i - 1) * count for i, count in runs))

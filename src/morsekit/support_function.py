@@ -79,11 +79,12 @@ def mu_coeffs(
 
 def mu_value(
     support: SupportSet, gamma: Covector, shift: ShiftConfig = ShiftConfig()
-) -> Fraction:
+) -> int | Fraction:
     """Support-function value at a Morse covector.
 
-    Equals the dot product of the covector with the vertex of its own cone;
-    extraction errors propagate.
+    Equals the dot product of the covector with the vertex of its own cone,
+    so an int on a covector of ints and a Fraction otherwise; extraction
+    errors propagate.
     """
     return gamma.dot(mu_coeffs(support, extract(support, gamma), shift))
 

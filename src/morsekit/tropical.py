@@ -132,19 +132,30 @@ class Covector:
         return self.values[self.support.index(p)]
 
     @cached_property
-    def _cleared(self) -> tuple[tuple[int, ...], int]:
-        # the values as integer numerators over one common denominator
+    def _cleared(self) -> tuple[tuple[int, ...], int, bool]:
+        # the values as integer numerators over one common denominator, and
+        # whether every value is an int (then they are their own numerators)
+        if all(isinstance(v, int) for v in self.values):
+            return self.values, 1, True
         scale = common_denominator(self.values)
-        return tuple(v.numerator * (scale // v.denominator) for v in self.values), scale
+        numerators = tuple(v.numerator * (scale // v.denominator) for v in self.values)
+        return numerators, scale, False
 
-    def dot(self, coeffs) -> Fraction:
+    def dot(self, coeffs) -> int | Fraction:
         """Value at this covector of the linear form with these coefficients.
 
         The denominators are cleared once per covector, so integer
-        coefficients sum as integers and one Fraction is built at the end.
+        coefficients sum as integers.  On a covector of ints the sum is the
+        value, an int for int coefficients; otherwise one Fraction is built
+        at the end, even when every denominator is 1.
         """
-        numerators, scale = self._cleared
-        return Fraction(sum(c * x for c, x in zip(coeffs, numerators)), scale)
+        return self.from_cleared(sum(c * x for c, x in zip(coeffs, self._cleared[0])))
+
+    def from_cleared(self, total) -> int | Fraction:
+        """A linear form's value here, in the type `dot` gives, from `total`,
+        its value at this covector times its common denominator."""
+        _, scale, ints = self._cleared
+        return total if ints else Fraction(total, scale)
 
     def hull_vertices(self) -> list[int]:
         """Strict vertices of the upper hull of the lifted points, left to right.
@@ -339,7 +350,12 @@ def check_slopes(support: SupportSet, gamma) -> None:
     group of `slope_groups` with more than one, which is the first tie a
     scan over all pairs of pairs in lexicographic order would meet.
     """
-    for pairs in slope_groups(support.points, _values(support, gamma)):
+    _check_slopes(support.points, _values(support, gamma))
+
+
+def _check_slopes(points, values) -> None:
+    # `check_slopes` on values already checked, as `extract` has them
+    for pairs in slope_groups(points, values):
         if len(pairs) > 1:
             raise SlopeDegenerate(pairs[0], pairs[1])
 
@@ -366,7 +382,7 @@ def extract(support: SupportSet, gamma) -> CombinatorialType:
     """
     values = _values(support, gamma)
     hull = _hull(support.points, values)
-    check_slopes(support, gamma if isinstance(gamma, Covector) else values)
+    _check_slopes(support.points, values)
     edges = list(zip(hull, hull[1:]))
     scale = lcm(*(v - u for (u, _), (v, _) in edges))
     scaled = {p: gp * scale for p, gp in zip(support.points, values)}

@@ -21,6 +21,7 @@ from morsekit import (
     validate_support,
     vol_fiber_closed,
 )
+from morsekit.fiber import solve_strata
 
 
 def _shoelace(cycle):
@@ -274,6 +275,21 @@ def test_strata_reject_rational(mixed_support):
     ctype = extract(mixed_support, gamma)
     with pytest.raises(NonIntegerCovector):
         strata_counts(mixed_support, gamma, ctype=ctype)
+
+
+def test_solve_strata_rejects_rational(mixed_support):
+    # n_a2 would be 54.5 here; the reader refuses instead of truncating to 54
+    gamma = covector_from_values(mixed_support, ["7/2", 5, 2, 5, 1])
+    area = area_newton(mixed_support, gamma)
+    assert area - gamma(-3) - gamma(4) == Fraction(109, 2)
+    with pytest.raises(NonIntegerCovector):
+        solve_strata(
+            gamma,
+            extract(mixed_support, gamma),
+            ShiftConfig(),
+            area,
+            mu_value(mixed_support, gamma),
+        )
 
 
 def test_shared_type_gives_the_same_answers():

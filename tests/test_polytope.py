@@ -9,6 +9,7 @@ import pytest
 from morsekit import (
     BadAxes,
     CombinatorialType,
+    Covector,
     NumberTooLarge,
     ShiftConfig,
     build_polytope,
@@ -120,6 +121,17 @@ def test_verify_computes_one_area_and_one_mu_per_sample(monkeypatch, mixed_suppo
     result = run_property_suite(poly, 200, 1)
     assert result.ok and result.samples == 200
     assert calls == {"area_newton": 200, "mu_coeffs": 216}
+
+
+def test_verify_never_rescales_an_integer_sample(monkeypatch, mixed_support):
+    # an integer sample goes to the level route as it is, with no scaled copy
+    def refuse(self, factor):
+        raise AssertionError(f"scaled({factor!r}) called on an integer sample")
+
+    monkeypatch.setattr(Covector, "scaled", refuse)
+    poly = build_polytope(mixed_support, keys=True)
+    result = run_property_suite(poly, 200, 1)
+    assert result.ok and result.samples == 200
 
 
 def test_shift_equivariance(deg4_support):

@@ -309,6 +309,42 @@ def test_covector_dot_equals_the_fraction_sum(data):
 TIE_SUPPORTS = SUPPORTS + [validate_support([1, 2, 3, 10**60 + 1])]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_covector_computes_in_ints(data):
+    # dot and the level route answer ints on a covector of ints, Fractions
+    # on any other, and the same values as in Fractions
+    support = data.draw(st.sampled_from(TIE_SUPPORTS))
+    size = len(support)
+    ints = data.draw(st.lists(st.integers(0, 50), min_size=size, max_size=size))
+    gamma = Covector(support, tuple(ints))
+    coeffs = data.draw(
+        st.lists(st.integers(-(10**30), 10**30), min_size=size, max_size=size)
+    )
+    dens = data.draw(st.lists(st.integers(1, 10**6), min_size=size, max_size=size))
+    for form, kind in ((coeffs, int), (list(map(Fraction, coeffs, dens)), Fraction)):
+        got = gamma.dot(form)
+        assert type(got) is kind
+        assert got == sum((c * v for c, v in zip(form, ints)), start=Fraction(0))
+
+    # a denominator above every entry makes each nonzero entry non-integral
+    q = max(ints) + data.draw(st.integers(1, 10))
+    for covector, kind in (
+        (gamma, int),
+        (covector_from_values(support, ints), Fraction),
+        (gamma.scaled(Fraction(1, q)), Fraction),
+    ):
+        try:
+            ctype = extract(support, covector)
+        except DegeneracyError:
+            return  # a positive scaling keeps a wall a wall
+        for j in range(ctype.k):
+            ladder = c_value(support, covector, ctype, j)
+            levels = c_value_via_levels(support, covector, ctype, j)
+            assert type(ladder) is type(levels) is kind
+            assert levels == ladder
+
+
 @st.composite
 def tie_heavy_covectors(draw):
     """Covectors on a grid of values 0-3, with rational entries, or with

@@ -68,6 +68,8 @@ def test_readme_library_block():
     assert ns["ints"] == values["gamma = mk.covector_from_values(A, [3, 5, 2, 5, 1])"]
     closed = values["mk.vol_fiber_closed(A, ints)"]
     assert type(closed) is int and closed == 539
+    mu_ints = values["mk.mu_value(A, ints)"]
+    assert type(mu_ints) is int and mu_ints == 394
 
     sampled, sampled_type, resamples = ns["gamma"], ns["ctype"], ns["resamples"]
     assert mk.classify(A, sampled).is_morse

@@ -114,8 +114,10 @@ def test_int_values_stay_ints(mixed_support, mixed_gamma):
     assert [type(v) for v in gamma.scaled(2.0).values] == [Fraction] * 5
     assert gamma.scaled(Fraction(1, 2)).values[0] == Fraction(3, 2)
     assert [type(v) for v in mixed_gamma.values] == [Fraction] * 5
-    # dot still answers a Fraction
-    assert type(gamma.dot((1, 0, 0, 0, 0))) is Fraction
+    # dot answers an int on the covector of ints, a Fraction on the other
+    assert gamma.dot((1, 0, 0, 0, 0)) == mixed_gamma.dot((1, 0, 0, 0, 0)) == 3
+    assert type(gamma.dot((1, 0, 0, 0, 0))) is int
+    assert type(mixed_gamma.dot((1, 0, 0, 0, 0))) is Fraction
 
 
 def test_covector_keeps_integral_floats_exact(mixed_support, mixed_gamma):
