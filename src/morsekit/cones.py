@@ -44,9 +44,9 @@ simplex-based solver).  A core is only ever a proof of emptiness, so the
 store changes no answer and no witness, only the time to reach it.
 
 A leaf's witness is nudged off the slope-tie walls by small shifts.  One
-`extract` of each candidate's cleared denominators finds the ties, through
-its slope check, and confirms the type of the first tie-free candidate,
-without dividing.
+`extract` of each candidate, a Covector of its cleared denominators, finds
+the ties, through its slope check, and confirms the type of the first
+tie-free candidate, in integers.
 """
 
 from __future__ import annotations
@@ -405,17 +405,18 @@ def _genericize(
     open cone while leaving every nonzero linear form in finitely many bad
     positions.  The candidates are the witness, then the shifts for
     eps = 2^-4, 2^-6, ... that satisfy the system strictly (see
-    `_exponents` for where the ladder ends).  Each is extracted on its
-    cleared denominators, in integers.  Inside the open cone the strict
-    hull, Z and M forms exclude every other wall, so `extract` can only
-    raise SlopeDegenerate, and the first candidate it accepts is a covector
-    of `ctype` (a positive scaling keeps the type): its type is `ctype` for
-    a fine leaf, and its drop key is `ctype` for a key leaf.
+    `_exponents` for where the ladder ends).  Each is extracted as a
+    Covector of its cleared denominators, which stay ints, so in integers.
+    Inside the open cone the strict hull, Z and M forms exclude every other
+    wall, so `extract` can only raise SlopeDegenerate, and the first
+    candidate it accepts is a covector of `ctype` (a positive scaling keeps
+    the type): its type is `ctype` for a fine leaf, and its drop key is
+    `ctype` for a key leaf.
     """
     span = support.high - support.low
     for values, denominator in _candidates(system, witness, span):
         try:
-            found = extract(support, values)
+            found = extract(support, Covector(support, values))
         except SlopeDegenerate:
             continue
         # for a fine leaf, drop_key(found) == ctype forces found == ctype

@@ -171,12 +171,13 @@ class StrataCounts:
 
     n2a1 (two double roots) depends on the chosen shift convention, so the
     convention is carried inside the result.  parity_ok records whether twice
-    the count came out even; a failure is reported, never rounded away.
+    the count came out even, when n_2a1 is an int; a failure is reported as
+    the Fraction p/2, never rounded away.
     """
 
     chi_a1: int
     n_a2: int
-    n_2a1: Fraction
+    n_2a1: int | Fraction
     shift: tuple[int, int]
     parity_ok: bool
 
@@ -223,10 +224,11 @@ def solve_strata(
     n_a2 = area - gamma(w0) - gamma(wk)
     doubled = mu - n_a2
     chi_a1 = -area - doubled - 2 * n_a2
+    even = doubled % 2 == 0
     return StrataCounts(
         chi_a1=int(chi_a1),
         n_a2=int(n_a2),
-        n_2a1=Fraction(doubled, 2),
+        n_2a1=doubled // 2 if even else Fraction(doubled, 2),
         shift=(shift.c1, shift.c2),
-        parity_ok=(doubled % 2 == 0),
+        parity_ok=even,
     )

@@ -122,12 +122,12 @@ class FacetFunctional:
     volume: int
 
 
-def _lifted_support(support: SupportSet, gamma: Covector) -> list[tuple[int, int, int]]:
+def _lifted_support(support: SupportSet, gamma: Covector) -> set[tuple[int, int, int]]:
     """The 3D support: apex (0,1,0), both base points, and the lifted points."""
     pts = {(0, 1, 0), (support.low, 0, 0), (support.high, 0, 0)}
     for p, v in zip(support.points, gamma.values):
         pts.add((p, 0, int(v)))
-    return sorted(pts)
+    return pts
 
 
 def facet_functional(
@@ -200,6 +200,6 @@ def c_value_via_levels(
     common denominator q, and the value is divided by q; an integral gamma
     is scanned as it is.  The value has the type `c_value` gives.
     """
-    q = common_denominator(gamma.values)
+    q = 1 if gamma.is_integral() else common_denominator(gamma.values)
     runs, ff = level_scan(support, gamma if q == 1 else gamma.scaled(q), ctype, j)
     return gamma.from_cleared(-ff.volume * sum((i - 1) * count for i, count in runs))

@@ -116,7 +116,9 @@ def validate_support(raw) -> SupportSet:
 class Covector:
     """Exact nonnegative rational coefficients aligned with a support set.
 
-    Each value is an int or a Fraction, and an int given stays an int, so an
+    The one way values reach the kernels, checked once here: CovectorError on
+    a bool, a non-integral float, a wrong length or a negative entry.  Each
+    value is an int or a Fraction, and an int given stays an int, so an
     integer covector computes in ints.  Mind that `/` on two values that are
     ints gives a float: divide by a Fraction, as `roots_and_values` does.
     """
@@ -125,8 +127,15 @@ class Covector:
     values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        vals = _values(self.support, (_exact(v) for v in self.values))
-        object.__setattr__(self, "values", vals)
+        values = tuple(_exact(v) for v in self.values)
+        if len(values) != len(self.support):
+            raise CovectorError(
+                f"{len(values)} values for {len(self.support)} support points"
+            )
+        if any(v < 0 for v in values):
+            wire = json.dumps([rational_to_json(v) for v in values])
+            raise CovectorError(f"negative entries not allowed: {wire}")
+        object.__setattr__(self, "values", values)
 
     def __call__(self, p: int) -> int | Fraction:
         return self.values[self.support.index(p)]
@@ -183,23 +192,7 @@ class Covector:
 def _exact(v) -> int | Fraction:
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
         raise CovectorError(f"not an exact value: {v!r}")  # as in parse_rational
-    return v if isinstance(v, int) else Fraction(v)
-
-
-def _values(support: SupportSet, gamma) -> tuple:
-    """A Covector's values as they are, or raw values checked once."""
-    if isinstance(gamma, Covector):
-        return gamma.values
-    values = tuple(gamma)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            raise CovectorError(f"not an int or a Fraction: {v!r}")
-    if len(values) != len(support):
-        raise CovectorError(f"{len(values)} values for {len(support)} support points")
-    if any(v < 0 for v in values):
-        wire = json.dumps([rational_to_json(v) for v in values])
-        raise CovectorError(f"negative entries not allowed: {wire}")
-    return values
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
 def covector_from_values(support: SupportSet, values) -> Covector:
@@ -272,14 +265,14 @@ def _hull(points, values) -> list:
     return hull
 
 
-def upper_hull(support: SupportSet, gamma) -> list[int]:
+def upper_hull(support: SupportSet, gamma: Covector) -> list[int]:
     """Exponents whose lifted points are vertices of the upper hull.
 
-    gamma as for `extract`.  The base points (a_0, 0), (a_max, 0) of the
-    Newton polygon cannot displace hull membership for nonnegative gamma.
-    Raises DegenerateHull if a non-vertex lifted point lies on a hull edge.
+    The base points (a_0, 0), (a_max, 0) of the Newton polygon cannot
+    displace hull membership for nonnegative gamma.  Raises DegenerateHull
+    if a non-vertex lifted point lies on a hull edge.
     """
-    return [p for p, _ in _hull(support.points, _values(support, gamma))]
+    return [p for p, _ in _hull(support.points, gamma.values)]
 
 
 def roots_and_values(
@@ -342,20 +335,15 @@ def slope_groups(points, values) -> list[list[tuple[int, int]]]:
     return list(groups.values())
 
 
-def check_slopes(support: SupportSet, gamma) -> None:
+def check_slopes(support: SupportSet, gamma: Covector) -> None:
     """Assert that no two distinct exponent pairs span equal slopes.
 
-    gamma as for `extract`.  This is the global genericity condition the
-    orderings M^j rely on.  The witness is the first two pairs of the first
-    group of `slope_groups` with more than one, which is the first tie a
-    scan over all pairs of pairs in lexicographic order would meet.
+    This is the global genericity condition the orderings M^j rely on.  The
+    witness is the first two pairs of the first group of `slope_groups` with
+    more than one, which is the first tie a scan over all pairs of pairs in
+    lexicographic order would meet.
     """
-    _check_slopes(support.points, _values(support, gamma))
-
-
-def _check_slopes(points, values) -> None:
-    # `check_slopes` on values already checked, as `extract` has them
-    for pairs in slope_groups(points, values):
+    for pairs in slope_groups(support.points, gamma.values):
         if len(pairs) > 1:
             raise SlopeDegenerate(pairs[0], pairs[1])
 
@@ -368,21 +356,19 @@ def _first_equal_pair(values) -> tuple[int, int, Fraction] | None:
     return None
 
 
-def extract(support: SupportSet, gamma) -> CombinatorialType:
+def extract(support: SupportSet, gamma: Covector) -> CombinatorialType:
     """Extract (W, Z, M) from a generic covector.
 
-    gamma is a Covector, or its values aligned with the sorted support as
-    ints or Fractions, checked once (CovectorError on a bool, a float, a
-    wrong length or a negative entry); a Covector is not checked again.
-    Nothing is divided, so integers stay integers.  With d_j = v - u the
-    width of hull edge j = (u, v) and L the lcm of the widths, M^j sorts by
-    g(p) L + p (g(u) - g(v)) (L // d_j), L / d_j times monomial p's value at
-    root j, and root values compare by it at p = u, (v g(u) - u g(v)) (L // d_j).
+    Nothing is divided, so a covector of ints is worked in ints.  With
+    d_j = v - u the width of hull edge j = (u, v) and L the lcm of the
+    widths, M^j sorts by g(p) L + p (g(u) - g(v)) (L // d_j), L / d_j times
+    monomial p's value at root j, and root values compare by it at p = u,
+    (v g(u) - u g(v)) (L // d_j).
     Raises DegenerateHull, SlopeDegenerate or RootValueDegenerate.
     """
-    values = _values(support, gamma)
+    values = gamma.values
     hull = _hull(support.points, values)
-    _check_slopes(support.points, values)
+    check_slopes(support, gamma)
     edges = list(zip(hull, hull[1:]))
     scale = lcm(*(v - u for (u, _), (v, _) in edges))
     scaled = {p: gp * scale for p, gp in zip(support.points, values)}

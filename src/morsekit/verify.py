@@ -42,17 +42,17 @@ def sample_morse_covector(
 ) -> tuple[Covector, CombinatorialType, int]:
     """A Morse covector from the seeded grid, its type, and the resample count.
 
-    Draws are extracted as integers; only the accepted one becomes a Covector,
-    whose values stay ints."""
+    Each draw is a Covector of ints, extracted in integers; the first that
+    extracts is returned with its type."""
     resamples = 0
     while True:
-        values = tuple(rng.randint(0, bound) for _ in support.points)
+        gamma = Covector(support, tuple(rng.randint(0, bound) for _ in support.points))
         try:
-            ctype = extract(support, values)
+            ctype = extract(support, gamma)
         except DegeneracyError:
             resamples += 1
             continue
-        return Covector(support, values), ctype, resamples
+        return gamma, ctype, resamples
 
 
 @dataclass

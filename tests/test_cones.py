@@ -389,16 +389,17 @@ def test_a_leaf_confirmed_as_another_type_stops_the_build(monkeypatch, mixed_sup
 
 def test_each_leaf_is_confirmed_once_on_integers(monkeypatch, mixed_support):
     # the fine build of [-3,-1,1,2,4] has 105 leaves, and each is confirmed
-    # by one extract of its candidate's integers, never of a Covector; that
-    # extract is also the tie test, so 28 tied candidates before them raise
+    # by one extract of a Covector of its candidate's integers, which keeps
+    # them ints; that extract is also the tie test, so 28 tied candidates
+    # before them raise
     original = cones.extract
     seen = []
     refused = []
 
-    def recording(support, values):
-        seen.append(values)
+    def recording(support, gamma):
+        seen.append(gamma)
         try:
-            return original(support, values)
+            return original(support, gamma)
         except DegeneracyError as exc:
             refused.append(type(exc))
             raise
@@ -407,7 +408,8 @@ def test_each_leaf_is_confirmed_once_on_integers(monkeypatch, mixed_support):
     assert len(build_polytope(mixed_support).cones) == 105
     assert len(seen) - len(refused) == 105
     assert refused == [SlopeDegenerate] * 28
-    assert all(type(v) is tuple and {type(x) for x in v} == {int} for v in seen)
+    assert all(type(g) is Covector for g in seen)
+    assert all({type(x) for x in g.values} == {int} for g in seen)
 
 
 # --- enumeration ----------------------------------------------------------------------

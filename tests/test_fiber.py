@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from morsekit import (
+    Covector,
     NonIntegerCovector,
     NotMorse,
     ShiftConfig,
@@ -275,6 +276,19 @@ def test_strata_reject_rational(mixed_support):
     ctype = extract(mixed_support, gamma)
     with pytest.raises(NonIntegerCovector):
         strata_counts(mixed_support, gamma, ctype=ctype)
+
+
+def test_2a1_is_an_int_unless_twice_it_is_odd(mixed_support, mixed_gamma):
+    # mu - |A2| = 340 is even, so |2A1| = 170 is an int, also on the Fraction
+    # covector; shifting mu by gamma(w_0) = 3 makes it 343 / 2
+    ints = Covector(mixed_support, (3, 5, 2, 5, 1))
+    for gamma in (ints, mixed_gamma):
+        counts = strata_counts(mixed_support, gamma)
+        assert type(counts.n_2a1) is int and counts.n_2a1 == 170
+        assert counts.parity_ok and counts.to_json()["2A1"] == 170
+    odd = strata_counts(mixed_support, ints, ShiftConfig(1, 0))
+    assert type(odd.n_2a1) is Fraction and odd.n_2a1 == Fraction(343, 2)
+    assert not odd.parity_ok and odd.to_json()["2A1"] == "343/2"
 
 
 def test_solve_strata_rejects_rational(mixed_support):

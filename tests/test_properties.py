@@ -428,13 +428,13 @@ def _extract_verdict(extract_fn, support, gamma, scale=1):
 @settings(max_examples=500, deadline=None)
 @given(tie_heavy_covectors())
 def test_extract_matches_the_reference_on_fractions_and_integers(gamma):
-    # extract never divides, so the cleared integers are worked in integers;
-    # a quotient of two ints anywhere would be a float, which loses the
-    # 10^60 + 1 support's digits
+    # extract never divides, so a Covector of the cleared integers is worked
+    # in integers; a quotient of two ints anywhere would be a float, which
+    # loses the 10^60 + 1 support's digits
     support = gamma.support
     expected = _extract_verdict(reference_extract, support, gamma)
     assert _extract_verdict(extract, support, gamma) == expected
-    integers = clear_denominators(gamma.values)
+    integers = Covector(support, clear_denominators(gamma.values))
     scale = common_denominator(gamma.values)
     assert _extract_verdict(extract, support, integers, scale) == expected
 

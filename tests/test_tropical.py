@@ -128,26 +128,21 @@ def test_covector_keeps_integral_floats_exact(mixed_support, mixed_gamma):
 @pytest.mark.parametrize(
     "values,message",
     [
-        ((3, 5, 2, 5, True), "not an int or a Fraction: True"),
-        ((3, 5, 2, 5, 1.0), "not an int or a Fraction: 1.0"),
+        ((3, 5, 2, 5, True), "not an exact value: True"),
         ((3, 5, 2, 5), "4 values for 5 support points"),
         (
             (3, 5, Fraction(-1, 2), 5, 1),
             'negative entries not allowed: [3, 5, "-1/2", 5, 1]',
         ),
     ],
+    ids=["bool", "length", "negative"],
 )
-def test_raw_values_are_checked_once(mixed_support, values, message):
-    for kernel in (extract, upper_hull, check_slopes):
-        with pytest.raises(CovectorError) as excinfo:
-            kernel(mixed_support, values)
-        assert str(excinfo.value) == message
-
-
-def test_raw_values_answer_as_the_covector(mixed_support, mixed_gamma):
-    for raw in ((3, 5, 2, 5, 1), [Fraction(3), 5, 2, Fraction(10, 2), 1]):
-        assert extract(mixed_support, raw) == extract(mixed_support, mixed_gamma)
-        assert upper_hull(mixed_support, raw) == [-3, -1, 2, 4]
+def test_covector_checks_its_values(mixed_support, values, message):
+    # the constructor is the one place values are checked; the kernels take
+    # a Covector and read its values as they are
+    with pytest.raises(CovectorError) as excinfo:
+        Covector(mixed_support, values)
+    assert str(excinfo.value) == message
 
 
 def test_combinatorial_type_invariants():
