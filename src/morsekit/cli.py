@@ -273,9 +273,9 @@ def cmd_strata(args) -> int:
     return 0
 
 
-# A 200-sample `verify` on [-3,-1,1,2,4] takes about 0.15 s with its 0.013 s
-# drop-key build (2-core x86 box, Python 3.11): about 0.7 ms a sample, so the
-# cap is a run of a few minutes.  Past it `verify` refuses before the build.
+# A 200-sample `verify` on [-3,-1,1,2,4] takes about 36 ms with its 7 ms
+# drop-key build (2-core x86 box, Python 3.11): about 0.15 ms a sample, so the
+# cap is a run of about 15 s.  Past it `verify` refuses before the build.
 _MAX_SAMPLES = 10**5
 
 

@@ -122,14 +122,6 @@ class FacetFunctional:
     volume: int
 
 
-def _lifted_support(support: SupportSet, gamma: Covector) -> set[tuple[int, int, int]]:
-    """The 3D support: apex (0,1,0), both base points, and the lifted points."""
-    pts = {(0, 1, 0), (support.low, 0, 0), (support.high, 0, 0)}
-    for p, v in zip(support.points, gamma.values):
-        pts.add((p, 0, int(v)))
-    return pts
-
-
 def facet_functional(
     support: SupportSet, gamma: Covector, ctype: CombinatorialType, j: int
 ) -> FacetFunctional:
@@ -168,9 +160,12 @@ def level_scan(
     content = gcd(gcd(abs(gu - gv), abs(s)), v - u)
     # the reduced facet level S_j / content is the middle coefficient h2
     h1, h2, h3 = (gu - gv) // content, s // content, (v - u) // content
-    by_level: dict[int, list[int]] = {}
-    for x, y, z in _lifted_support(support, gamma):
-        by_level.setdefault(h1 * x + h2 * y + h3 * z, []).append(x)
+    # the apex (0, 1, 0) at level h2, both base points, the lifted points; a
+    # point met twice changes nothing (gcd is idempotent, levels are keys)
+    by_level: dict[int, list[int]] = {h2: [0]}
+    base = ((support.low, 0), (support.high, 0))
+    for x, z in (*base, *zip(support.points, gamma.values)):
+        by_level.setdefault(h1 * x + h3 * int(z), []).append(x)
     levels = sorted(by_level, reverse=True)
     if levels[0] > h2:
         raise AssertionError(

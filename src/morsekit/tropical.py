@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     CovectorError,
@@ -158,7 +159,7 @@ class Covector:
         value, an int for int coefficients; otherwise one Fraction is built
         at the end, even when every denominator is 1.
         """
-        return self.from_cleared(sum(c * x for c, x in zip(coeffs, self._cleared[0])))
+        return self.from_cleared(sum(map(mul, coeffs, self._cleared[0])))
 
     def from_cleared(self, total) -> int | Fraction:
         """A linear form's value here, in the type `dot` gives, from `total`,

@@ -4,7 +4,9 @@ Checks a built polytope against the support and the shift it was built
 with.  Samples integer covectors uniformly from {0, ..., 50}^|A|, resampling
 on degeneracy (walls have measure zero but positive probability on a grid).
 The sampler's genericity test extracts each sample's type; that one type,
-one shoelace Newton area and one mu serve every check.  On each sample:
+one shoelace Newton area and one mu serve every check.  Each type's vertex
+and its mu, C^j and |A2| forms (all linear on its cone) are built once per
+run, at its first sample.  On each sample:
 
   * dominance: the maximum of <vertex, gamma> over the polytope equals the
     support-function value, attained exactly at the extracted cone's vertex;
@@ -32,7 +34,7 @@ from .fiber import (
     vol_fiber_closed,
 )
 from .polytope import MorsePolytope
-from .singularity import c_value, c_value_via_levels, gcd_ladder, level_scan
+from .singularity import c_coeffs, c_value_via_levels, gcd_ladder, level_scan
 from .support_function import a2_coeffs, mu_coeffs
 from .tropical import CombinatorialType, Covector, SupportSet, extract
 
@@ -122,15 +124,25 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
     dual_area = PropertyReport("newton_area_dual_route")
     strata = PropertyReport("strata_consistency")
     result.reports = [dominance, dual_c, dual_vol, dual_area, strata]
+    # each type's forms, built at its first sample: (mu, vertex, C^j, |A2|)
+    forms: dict[CombinatorialType, tuple] = {}
 
     for _ in range(samples):
         gamma, ctype, extra = sample_morse_covector(support, rng)
         result.resamples += extra
+        if ctype not in forms:
+            forms[ctype] = (
+                mu_coeffs(support, ctype, shift),
+                polytope.vertex_of(ctype),
+                [c_coeffs(support, ctype, j) for j in range(ctype.k)],
+                a2_coeffs(support, ctype),
+            )
+        mu_form, vertex, c_forms, a2_form = forms[ctype]
 
-        mu = gamma.dot(mu_coeffs(support, ctype, shift))
+        mu = gamma.dot(mu_form)
         heights = [gamma.dot(v) for v in polytope.vertices]
         best = max(heights)
-        own = gamma.dot(polytope.vertex_of(ctype))
+        own = gamma.dot(vertex)
         argmax_count = heights.count(best)
         dominance.record(
             best == mu and own == mu and argmax_count == 1,
@@ -138,7 +150,8 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
             f"max={best} mu={mu} own={own} argmax_count={argmax_count}",
         )
 
-        corrections = [c_value(support, gamma, ctype, j) for j in range(ctype.k)]
+        # the ladder route; the level route below scans the sample itself
+        corrections = [gamma.dot(c) for c in c_forms]
         ok = True
         detail = ""
         for j, lhs in enumerate(corrections):
@@ -167,7 +180,7 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
 
         counts = solve_strata(gamma, ctype, shift, shoelace, mu)
         # |A2| read off the cone's own form, not from the shoelace or mu
-        a2 = gamma.dot(a2_coeffs(support, ctype))
+        a2 = gamma.dot(a2_form)
         w0, wk = ctype.w[0], ctype.w[-1]
         eq1 = counts.chi_a1 + 2 * counts.n_2a1 + 2 * a2 == -shoelace
         eq2 = counts.n_a2 == a2

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -97,10 +98,19 @@ def test_property_suite_extracts_once_per_draw(monkeypatch, mixed_support):
     assert len(calls) == result.samples + result.resamples
 
 
-def test_verify_computes_one_area_and_one_mu_per_sample(monkeypatch, mixed_support):
+def _run_types(support, samples, seed):
+    """How often each type occurs in a run's samples, replayed from its seed."""
+    rng = random.Random(seed)
+    return Counter(sample_morse_covector(support, rng)[1] for _ in range(samples))
+
+
+def test_verify_builds_each_types_forms_once(monkeypatch, mixed_support):
     # the sample's shoelace area and its mu are computed once and read by the
-    # fiber, strata and dominance checks; the build adds one mu_coeffs per key
-    calls = {"area_newton": 0, "mu_coeffs": 0}
+    # fiber, strata and dominance checks; a type's mu and C^j forms are built
+    # at its first sample only; the build adds one mu_coeffs per key
+    import morsekit.verify as verify_mod
+
+    calls = {"area_newton": 0, "mu_coeffs": 0, "c_coeffs": 0}
 
     def counting(name, original):
         def counted(*args, **kwargs):
@@ -109,18 +119,53 @@ def test_verify_computes_one_area_and_one_mu_per_sample(monkeypatch, mixed_suppo
 
         return counted
 
-    for name in calls:
+    for name in ("area_newton", "mu_coeffs"):
         original = getattr(sys.modules["morsekit"], name)
         wrapper = counting(name, original)
         for module_name, module in list(sys.modules.items()):
             bound = getattr(module, name, None) is original
             if bound and module_name.split(".")[0] == "morsekit":
                 monkeypatch.setattr(module, name, wrapper)
+    # verify's own C^j forms; each type's mu_coeffs walks its ladders once more
+    c_counter = counting("c_coeffs", verify_mod.c_coeffs)
+    monkeypatch.setattr(verify_mod, "c_coeffs", c_counter)
     poly = build_polytope(mixed_support, keys=True)
     assert (len(poly.vertices), calls["mu_coeffs"]) == (16, 16)
     result = run_property_suite(poly, 200, 1)
     assert result.ok and result.samples == 200
-    assert calls == {"area_newton": 200, "mu_coeffs": 216}
+    types = _run_types(mixed_support, 200, 1)
+    assert len(types) == 65
+    assert calls == {
+        "area_newton": 200,
+        "mu_coeffs": 16 + len(types),  # 81, against 216 with one per sample
+        "c_coeffs": sum(t.k for t in types),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, report", [("mu_coeffs", "dominance"), ("c_coeffs", "cj_dual_route")]
+)
+def test_a_wrong_form_fails_every_sample_of_its_type(
+    monkeypatch, mixed_support, name, report
+):
+    # the run keeps a type's forms from its first sample on, so a wrong form
+    # must fail every sample of that type, not only the first
+    import morsekit.verify as verify_mod
+
+    poly = build_polytope(mixed_support, keys=True)
+    target, count = _run_types(mixed_support, 200, 1).most_common(1)[0]
+    assert count > 1
+    real = getattr(verify_mod, name)
+
+    def wrong(support, ctype, *rest):
+        form = real(support, ctype, *rest)
+        # the samples' entries are not all 0, so each value moves
+        return tuple(c + 1 for c in form) if ctype == target else form
+
+    monkeypatch.setattr(verify_mod, name, wrong)
+    result = run_property_suite(poly, 200, 1)
+    failed = {r.name: r.failed for r in result.reports}
+    assert failed[report] == count
 
 
 def test_verify_never_rescales_an_integer_sample(monkeypatch, mixed_support):

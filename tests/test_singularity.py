@@ -7,6 +7,8 @@ from math import gcd
 import pytest
 
 from morsekit import (
+    Covector,
+    FacetFunctional,
     NonIntegerCovector,
     c_coeffs,
     c_value,
@@ -202,6 +204,58 @@ def test_level_scan_coprime_edge_trivial():
         if gcd(t.w[j], t.w[j + 1]) == 1:
             runs, _ = level_scan(s, g, t, j)
             assert runs == ((1, 1),)
+
+
+@pytest.mark.parametrize(
+    "points, values, expected",
+    [
+        # gamma(a_0) = 0: the lifted (a_0, 0, 0) is the base point (a_0, 0, 0)
+        (
+            [-3, -1, 1, 2, 4],
+            (0, 5, 2, 5, 1),
+            [
+                (((1, 1),), ((-5, 15, 2), 15, 1)),
+                (((1, 1),), ((0, 5, 1), 5, 3)),
+                (((2, 5), (1, 1)), ((2, 9, 1), 9, 2)),
+            ],
+        ),
+        # gamma(a_max) = 0: the lifted (a_max, 0, 0) is the other base point
+        (
+            [-3, -1, 1, 2, 4],
+            (3, 5, 2, 5, 0),
+            [
+                (((1, 1),), ((-1, 6, 1), 6, 2)),
+                (((1, 1),), ((0, 5, 1), 5, 3)),
+                (((2, 11), (1, 1)), ((5, 20, 2), 20, 1)),
+            ],
+        ),
+        (
+            [2, 3, 4, 6],
+            (0, 5, 7, 3),
+            [
+                (((1, 1),), ((-5, -10, 1), -10, 1)),
+                (((1, 1),), ((-2, -1, 1), -1, 1)),
+                (((2, 4), (1, 1)), ((2, 15, 1), 15, 2)),
+            ],
+        ),
+        (
+            [2, 3, 4, 6],
+            (4, 5, 7, 0),
+            [
+                (((2, 1), (1, 1)), ((-3, 2, 2), 2, 1)),
+                (((2, 11), (1, 1)), ((7, 42, 2), 42, 1)),
+            ],
+        ),
+    ],
+)
+def test_level_scan_with_a_lifted_point_on_a_base_point(points, values, expected):
+    # the scan meets that point twice; the answer is the one it gave when the
+    # lifted support was a set
+    s = validate_support(points)
+    for g in (Covector(s, values), covector_from_values(s, values)):
+        t = extract(s, g)
+        got = [level_scan(s, g, t, j) for j in range(t.k)]
+        assert got == [(runs, FacetFunctional(*ff)) for runs, ff in expected]
 
 
 def test_distance_consistency_first_monomial():
