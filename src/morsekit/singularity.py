@@ -148,6 +148,15 @@ def level_scan(
     entry per lattice level, so its length grows with gamma's entries; it
     is returned run-length encoded, as ((entry, count), ...), and the scan
     visits only the levels that hold a lifted point.
+
+    The Newton polytope also has the apex (0, 1, 0) and the base points
+    (a_0, 0, 0), (a_max, 0, 0); the sweep walks only the lifted points,
+    because the others change no entry.  The apex's first coordinate is 0,
+    and its level h2 already holds w_j and w_{j+1}.  A base point (x, 0, 0)
+    lies at or below its lifted twin (x, 0, gamma(x)), as gamma >= 0 and
+    h3 > 0, so x is in the gcd when its level comes.  gcd(A) divides every
+    difference of A, so it is 1, and the scan returns before any level that
+    only a base point would hold.
     """
     if not gamma.is_integral():
         raise NonIntegerCovector(
@@ -160,11 +169,8 @@ def level_scan(
     content = gcd(gcd(abs(gu - gv), abs(s)), v - u)
     # the reduced facet level S_j / content is the middle coefficient h2
     h1, h2, h3 = (gu - gv) // content, s // content, (v - u) // content
-    # the apex (0, 1, 0) at level h2, both base points, the lifted points; a
-    # point met twice changes nothing (gcd is idempotent, levels are keys)
-    by_level: dict[int, list[int]] = {h2: [0]}
-    base = ((support.low, 0), (support.high, 0))
-    for x, z in (*base, *zip(support.points, gamma.values)):
+    by_level: dict[int, list[int]] = {}
+    for x, z in zip(support.points, gamma.values):
         by_level.setdefault(h1 * x + h3 * int(z), []).append(x)
     levels = sorted(by_level, reverse=True)
     if levels[0] > h2:

@@ -167,14 +167,19 @@ class Covector:
         _, scale, ints = self._cleared
         return total if ints else Fraction(total, scale)
 
+    @cached_property
+    def _hull_vertices(self) -> tuple[int, ...]:
+        lifted = zip(reversed(self.support.points), reversed(self.values))
+        return tuple(x for x, _ in reversed(_chain(lifted)))
+
     def hull_vertices(self) -> list[int]:
         """Strict vertices of the upper hull of the lifted points, left to right.
 
         Collinear interior points are dropped here; callers that must reject
-        them do so with an explicit on-edge check afterwards.
+        them do so with an explicit on-edge check afterwards.  The hull is
+        computed once per covector; each call returns a fresh list.
         """
-        lifted = zip(reversed(self.support.points), reversed(self.values))
-        return [x for x, _ in reversed(_chain(lifted))]
+        return list(self._hull_vertices)
 
     def scaled(self, factor) -> "Covector":
         """This covector times `factor`; an int factor keeps int values ints."""

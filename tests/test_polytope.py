@@ -24,6 +24,8 @@ from morsekit import (
     sample_morse_covector,
     unit_interval_shift,
 )
+from morsekit import tropical
+from morsekit.tropical import _chain
 
 from conftest import dot
 
@@ -96,6 +98,22 @@ def test_property_suite_extracts_once_per_draw(monkeypatch, mixed_support):
     result = run_property_suite(poly, 40, 13)
     assert result.ok and result.resamples > 0
     assert len(calls) == result.samples + result.resamples
+
+
+def test_verify_sample_builds_its_hull_twice(monkeypatch, mixed_support):
+    # extract checks its own hull once per draw; both Newton area routes of
+    # an accepted sample share the covector's hull_vertices
+    poly = build_polytope(mixed_support, keys=True)
+    chains = []
+
+    def counting(points):
+        chains.append(1)
+        return _chain(points)
+
+    monkeypatch.setattr(tropical, "_chain", counting)
+    result = run_property_suite(poly, 200, 1)
+    assert result.ok and result.resamples > 0
+    assert len(chains) == 2 * result.samples + result.resamples
 
 
 def _run_types(support, samples, seed):

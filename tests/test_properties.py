@@ -56,6 +56,7 @@ from morsekit.rationals import (  # noqa: E402
 from morsekit.tropical import check_slopes, slope_groups  # noqa: E402
 from conftest import time_limit  # noqa: E402
 from reference_extract import reference_extract  # noqa: E402
+from reference_level_scan import reference_level_scan  # noqa: E402
 from reference_simplex import reference_feasible  # noqa: E402
 from reference_slopes import reference_check_slopes, reference_classify  # noqa: E402
 
@@ -498,6 +499,30 @@ def test_int_covectors_compute_as_fraction_covectors(data):
     got = _kernel_results(gamma)
     assert got == _kernel_results(covector_from_values(support, values))
     assert not _has_float(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_level_scan_matches_the_sweep_with_apex_and_base_points(data):
+    # the apex and the base points change no run of the level scan; a zero
+    # endpoint value puts a lifted point on a base point
+    support = data.draw(st.sampled_from(SUPPORTS))
+    entry = data.draw(
+        st.sampled_from(
+            [st.integers(0, 3), st.integers(0, 50), st.integers(0, 10**12)]
+        )
+    )
+    endpoint = st.one_of(st.just(0), entry)
+    inner = st.lists(entry, min_size=len(support) - 2, max_size=len(support) - 2)
+    values = (data.draw(endpoint), *data.draw(inner), data.draw(endpoint))
+    gamma = Covector(support, values)
+    try:
+        ctype = extract(support, gamma)
+    except DegeneracyError:
+        return
+    for j in range(ctype.k):
+        expected = reference_level_scan(support, gamma, ctype, j)
+        assert level_scan(support, gamma, ctype, j) == expected
 
 
 SUPPORT_RULES = (

@@ -1,9 +1,14 @@
 """Checks on the repository itself: the README's library block runs and
-prints what its comments say, no module imports another's private name or a
-name it never uses, and no module calls float outside the SVG code."""
+prints what its comments say, each name loads its submodule on first use, no
+module imports another's private name or a name it never uses, and no module
+calls float outside the SVG code."""
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,6 +80,68 @@ def test_readme_library_block():
     assert mk.classify(A, sampled).is_morse
     assert mk.extract(A, sampled) == sampled_type
     assert isinstance(resamples, int) and resamples >= 0
+
+
+SUBMODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _fresh_interpreter(source: str) -> str:
+    """Stdout of a new interpreter that runs `source` with `src` on its path."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", source], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_readme_extract_loads_only_the_tropical_layer():
+    block = _library_block()
+    example = block[: block.index("\n", block.index("mk.extract(")) + 1]
+    loaded = "import sys\nprint(sorted(m for m in sys.modules if m.startswith('morsekit')))"
+    assert _fresh_interpreter(example + loaded) == (
+        "['morsekit', 'morsekit.errors', 'morsekit.rationals', 'morsekit.tropical']\n"
+    )
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_resolves_through_the_package(name):
+    source = (
+        "import sys, morsekit\n"
+        f"assert 'morsekit.{name}' not in sys.modules\n"
+        f"assert morsekit.{name} is sys.modules['morsekit.{name}']\n"
+    )
+    _fresh_interpreter(source)
+
+
+def test_every_public_name_resolves_through_the_package():
+    source = """
+import morsekit
+assert set(morsekit.__all__) <= set(dir(morsekit))
+star = {}
+exec("from morsekit import *", star)
+assert sorted(set(star) - {"__builtins__"}) == sorted(morsekit.__all__)
+for name in morsekit.__all__:
+    assert getattr(morsekit, name) is star[name], name
+try:
+    morsekit.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _fresh_interpreter(source) == (
+        "module 'morsekit' has no attribute 'no_such_name'\n"
+    )
+
+
+def test_each_public_name_maps_to_the_module_that_defines_it():
+    home = mk._HOME
+    assert sorted(name for name, module in home.items() if name == module) == SUBMODULES
+    assert sorted(set(home) - set(SUBMODULES)) == sorted(mk.__all__)
+    assert len(set(mk.__all__)) == len(mk.__all__)
+    for name in mk.__all__:
+        module = importlib.import_module(f"morsekit.{home[name]}")
+        assert getattr(module, name).__module__ == module.__name__, name
 
 
 def _private_imports(path: Path) -> list[str]:

@@ -15,6 +15,8 @@ from morsekit import (
     SlopeDegenerate,
     TooShort,
     ZeroInSupport,
+    area_newton,
+    area_newton_formula,
     classify,
     covector_from_values,
     extract,
@@ -24,8 +26,9 @@ from morsekit import (
     upper_hull,
     validate_support,
 )
+from morsekit import tropical
 from morsekit.errors import CovectorError, MalformedInput
-from morsekit.tropical import check_slopes
+from morsekit.tropical import _chain, check_slopes
 
 
 # --- validate_support ---------------------------------------------------------
@@ -180,6 +183,29 @@ def test_hull_point_exactly_on_edge():
     with pytest.raises(DegenerateHull) as err:
         upper_hull(s, covector_from_values(s, [1, 2, 3, 1]))
     assert err.value.point == 2 and err.value.edge == (1, 3)
+
+
+def test_hull_vertices_built_once_per_covector(monkeypatch, mixed_support):
+    # both Newton area routes and classify share one monotone chain; each
+    # call still hands out its own list, and the cache is not a field
+    chains = []
+
+    def counting(points):
+        chains.append(1)
+        return _chain(points)
+
+    monkeypatch.setattr(tropical, "_chain", counting)
+    gamma = Covector(mixed_support, (3, 5, 2, 5, 1))
+    twin = Covector(mixed_support, (3, 5, 2, 5, 1))
+    before = repr(gamma), hash(gamma)
+    first = gamma.hull_vertices()
+    first.append(99)
+    assert gamma.hull_vertices() == [-3, -1, 2, 4]
+    assert gamma.hull_vertices() is not gamma.hull_vertices()
+    assert area_newton(mixed_support, gamma) == area_newton_formula(mixed_support, gamma)
+    assert classify(mixed_support, gamma).is_morse
+    assert chains == [1]
+    assert (repr(gamma), hash(gamma)) == before and gamma == twin
 
 
 # --- roots and values ------------------------------------------------------------
