@@ -238,7 +238,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_polytope(args) -> int:
     support, _ = _load_input(args.input)
-    poly = _polytope(args, support)
+    poly = _polytope(args, support, keys=args.format == "svg")  # svg reads no cones
     if args.format == "svg":
         sys.stdout.write(render_svg(project_and_hull(poly, _axes(args))))
         return 0
@@ -303,7 +303,8 @@ def cmd_plot(args) -> int:
     if gamma is not None:
         sys.stdout.write(render_svg(fiber_polygon(support, gamma)))
         return 0
-    sys.stdout.write(render_svg(project_and_hull(_polytope(args, support), _axes(args))))
+    poly = _polytope(args, support, keys=True)  # the drawing reads no cones
+    sys.stdout.write(render_svg(project_and_hull(poly, _axes(args))))
     return 0
 
 

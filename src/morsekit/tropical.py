@@ -90,9 +90,12 @@ class SupportSet:
 def validate_support(raw) -> SupportSet:
     """Check all support-set invariants and return the sorted SupportSet.
 
-    Raises ZeroInSupport, DuplicatePoint, TooShort or NotGenerating.
+    Raises MalformedInput, ZeroInSupport, DuplicatePoint, TooShort or NotGenerating.
     """
-    points = list(raw)
+    try:
+        points = list(raw)
+    except TypeError:  # a number, null or a bool
+        raise MalformedInput(f"support must be a list, not {type(raw).__name__}") from None
     if not all(isinstance(p, int) and not isinstance(p, bool) for p in points):
         raise MalformedInput(f"support points must be integers: {points!r}")
     if 0 in points:
@@ -120,8 +123,7 @@ class Covector:
     The one way values reach the kernels, checked once here: CovectorError on
     a bool, a non-integral float, a wrong length or a negative entry.  Each
     value is an int or a Fraction, and an int given stays an int, so an
-    integer covector computes in ints.  Mind that `/` on two values that are
-    ints gives a float: divide by a Fraction, as `roots_and_values` does.
+    integer covector computes in ints (mind that `/` on two ints is a float).
     """
 
     support: SupportSet
@@ -257,28 +259,31 @@ def convex_hull_2d(points) -> list:
     return _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
 
 
-def _hull(points, values) -> list:
-    """Upper-hull vertices (p, g(p)), left to right; DegenerateHull when a
-    non-vertex p over edge (u, v) has g(p)(v - u) == g(u)(v - p) + g(v)(p - u)."""
-    hull = _chain(zip(reversed(points), reversed(values)))[::-1]
+def upper_hull(support: SupportSet, gamma: Covector) -> list[int]:
+    """The covector's hull vertices (`Covector.hull_vertices`), left to right;
+    DegenerateHull when a non-vertex p over edge (u, v) has g(p)(v - u) ==
+    g(u)(v - p) + g(v)(p - u).  The base points (a_0, 0), (a_max, 0) of the
+    Newton polygon cannot displace hull membership for nonnegative gamma."""
+    w = gamma.hull_vertices()
+    hull = [(p, gamma(p)) for p in w]
     edges = zip(hull, hull[1:])
     (u, gu), (v, gv) = next(edges)
-    for p, gp in zip(points[1:-1], values[1:-1]):
+    for p, gp in zip(support.points[1:-1], gamma.values[1:-1]):
         if p == v:
             (u, gu), (v, gv) = next(edges)
         elif gp * (v - u) == gu * (v - p) + gv * (p - u):
             raise DegenerateHull(p, (u, v))
-    return hull
+    return w
 
 
-def upper_hull(support: SupportSet, gamma: Covector) -> list[int]:
-    """Exponents whose lifted points are vertices of the upper hull.
-
-    The base points (a_0, 0), (a_max, 0) of the Newton polygon cannot
-    displace hull membership for nonnegative gamma.  Raises DegenerateHull
-    if a non-vertex lifted point lies on a hull edge.
-    """
-    return [p for p, _ in _hull(support.points, gamma.values)]
+def _root_table(gamma: Covector, w) -> tuple[int, list, list]:
+    """The one root formula: L, the lcm of the widths of the edges (u, v) of
+    w, then per edge L r_j = (g(u) - g(v)) (L // (v - u)) and L F(r_j) =
+    g(u) L + u L r_j; nothing is divided, so ints stay ints."""
+    edges = list(zip(w, w[1:]))
+    scale = lcm(*(v - u for u, v in edges))
+    rises = [(gamma(u) - gamma(v)) * (scale // (v - u)) for u, v in edges]
+    return scale, rises, [gamma(u) * scale + r * u for (u, _), r in zip(edges, rises)]
 
 
 def roots_and_values(
@@ -287,13 +292,11 @@ def roots_and_values(
     """Tropical roots r_j of consecutive hull edges and the values F(r_j).
 
     r_j = (gamma(w_j) - gamma(w_{j+1})) / (w_{j+1} - w_j), and the attained
-    value is w_j * r_j + gamma(w_j).  Roots come out strictly increasing.
+    value is w_j * r_j + gamma(w_j), as Fractions from `_root_table`.  Roots
+    come out strictly increasing.
     """
-    out = []
-    for u, v in zip(w, w[1:]):
-        r = (gamma(u) - gamma(v)) / Fraction(v - u)
-        out.append((r, u * r + gamma(u)))
-    return out
+    scale, rises, values = _root_table(gamma, w)
+    return [(Fraction(r, scale), Fraction(phi, scale)) for r, phi in zip(rises, values)]
 
 
 # --- combinatorial data --------------------------------------------------------
@@ -365,31 +368,25 @@ def _first_equal_pair(values) -> tuple[int, int, Fraction] | None:
 def extract(support: SupportSet, gamma: Covector) -> CombinatorialType:
     """Extract (W, Z, M) from a generic covector.
 
-    Nothing is divided, so a covector of ints is worked in ints.  With
-    d_j = v - u the width of hull edge j = (u, v) and L the lcm of the
-    widths, M^j sorts by g(p) L + p (g(u) - g(v)) (L // d_j), L / d_j times
-    monomial p's value at root j, and root values compare by it at p = u,
-    (v g(u) - u g(v)) (L // d_j).
-    Raises DegenerateHull, SlopeDegenerate or RootValueDegenerate.
+    Nothing is divided, so a covector of ints is worked in ints: root values
+    compare by `_root_table`'s L F(r_j), and M^j sorts by g(p) L + p L r_j,
+    L times monomial p's value at root j.  Raises DegenerateHull,
+    SlopeDegenerate or RootValueDegenerate, in that order.
     """
-    values = gamma.values
-    hull = _hull(support.points, values)
+    w = upper_hull(support, gamma)
     check_slopes(support, gamma)
-    edges = list(zip(hull, hull[1:]))
-    scale = lcm(*(v - u for (u, _), (v, _) in edges))
-    scaled = {p: gp * scale for p, gp in zip(support.points, values)}
-    rises = [(gu - gv) * (scale // (v - u)) for (u, gu), (v, gv) in edges]
-    keys = [scaled[u] + rise * u for ((u, _), _), rise in zip(edges, rises)]
+    scale, rises, keys = _root_table(gamma, w)
     tie = _first_equal_pair(keys)
     if tie is not None:
         raise RootValueDegenerate(*tie[:2], Fraction(tie[2], scale))
     z = tuple(sorted(range(len(keys)), key=keys.__getitem__))
+    scaled = {p: gp * scale for p, gp in zip(support.points, gamma.values)}
     m = []
-    for ((u, _), (v, _)), rise in zip(edges, rises):
+    for u, v, rise in zip(w, w[1:], rises):
         # decreasing monomial value at the root; the slope check excludes ties
         key = {p: gp + rise * p for p, gp in scaled.items() if p != u and p != v}
         m.append(tuple(sorted(key, key=key.__getitem__, reverse=True)))
-    return CombinatorialType(tuple(p for p, _ in hull), z, tuple(m))
+    return CombinatorialType(tuple(w), z, tuple(m))
 
 
 # --- Morse classification ------------------------------------------------------

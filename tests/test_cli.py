@@ -67,6 +67,9 @@ def test_malformed_input_exit_one(capsys):
     assert code == 1  # gamma required
     code, _, err = run(capsys, "extract", '{"A": [2,4,8], "gamma": [1,2,3]}')
     assert code == 1  # invalid support
+    for support in ("5", "null"):  # not a list: a typed error, no traceback
+        code, out, err = run(capsys, "extract", '{"A": %s}' % support)
+        assert code == 1 and out == "" and err.startswith("error: support must be a list")
 
 
 def test_integer_literal_past_the_digit_limit_exit_one(capsys):
@@ -491,6 +494,42 @@ def test_plot_polytope(capsys):
     )
     assert code == 0
     assert out.count('class="vertex"') == 5
+
+
+@pytest.mark.parametrize(
+    "argv,sha256",
+    [
+        (
+            ["polytope", '{"A": [-3,-1,1,2,4,5]}', "--format", "svg"],
+            "afdc433502878bc52ae092773e0763b959e5cd4f8e5b6a062e4d03956d0f1643",
+        ),
+        (
+            ["plot", '{"A": [1,2,3,4,5,6]}', "--shift", "unit-interval"],
+            "5cc7cf778297bf21fbec26c3b0dafab739de95ebbbe9a44e357cf2170ed41dd0",
+        ),
+    ],
+)
+def test_polytope_drawing_bytes_pinned(capsys, argv, sha256):
+    # built from drop keys, byte for byte the drawings of the fine cone table
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_drawings_build_from_drop_keys(capsys, monkeypatch):
+    # a drawing reads only the vertices, so it never enumerates the fine
+    # types; the json and text cone tables still do
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fine types were enumerated")
+
+    monkeypatch.setattr("morsekit.polytope.enumerate_types", refuse)
+    support = '{"A": [-3,-1,1,2,4]}'
+    code, polytope_svg, _ = run(capsys, "polytope", support, "--format", "svg")
+    assert code == 0 and polytope_svg.startswith("<svg")
+    assert run(capsys, "plot", support) == (0, polytope_svg, "")
+    for fmt in ("json", "text"):
+        with pytest.raises(AssertionError, match="fine types"):
+            main(["polytope", support, "--format", fmt])
 
 
 def test_samples_must_be_positive(capsys):

@@ -55,7 +55,10 @@ from morsekit.rationals import (  # noqa: E402
 )
 from morsekit.tropical import check_slopes, slope_groups  # noqa: E402
 from conftest import time_limit  # noqa: E402
-from reference_extract import reference_extract  # noqa: E402
+from reference_extract import (  # noqa: E402
+    reference_extract,
+    reference_roots_and_values,
+)
 from reference_level_scan import reference_level_scan  # noqa: E402
 from reference_simplex import reference_feasible  # noqa: E402
 from reference_slopes import reference_check_slopes, reference_classify  # noqa: E402
@@ -401,6 +404,18 @@ def test_extract_root_value_tie_matches_the_reference(gamma):
         return
     else:
         assert maxwell is None
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_heavy_covectors())
+def test_roots_and_values_match_the_reference(gamma):
+    # extract's integer root table, divided once by the lcm of the widths,
+    # gives the defining quotients, as Fractions even on a covector of ints
+    w = gamma.hull_vertices()
+    got = roots_and_values(gamma.support, gamma, w)
+    expected = reference_roots_and_values(gamma, w)
+    assert got == expected
+    assert [tuple(map(type, rv)) for rv in got] == [tuple(map(type, rv)) for rv in expected]
 
 
 @settings(max_examples=500, deadline=None)

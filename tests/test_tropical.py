@@ -186,8 +186,9 @@ def test_hull_point_exactly_on_edge():
 
 
 def test_hull_vertices_built_once_per_covector(monkeypatch, mixed_support):
-    # both Newton area routes and classify share one monotone chain; each
-    # call still hands out its own list, and the cache is not a field
+    # upper_hull, extract, both Newton area routes and classify share one
+    # monotone chain; each call still hands out its own list, and the cache
+    # is not a field
     chains = []
 
     def counting(points):
@@ -202,6 +203,8 @@ def test_hull_vertices_built_once_per_covector(monkeypatch, mixed_support):
     first.append(99)
     assert gamma.hull_vertices() == [-3, -1, 2, 4]
     assert gamma.hull_vertices() is not gamma.hull_vertices()
+    assert upper_hull(mixed_support, gamma) == [-3, -1, 2, 4]
+    assert extract(mixed_support, gamma).w == (-3, -1, 2, 4)
     assert area_newton(mixed_support, gamma) == area_newton_formula(mixed_support, gamma)
     assert classify(mixed_support, gamma).is_morse
     assert chains == [1]
