@@ -27,7 +27,12 @@ from .singularity import (
     level_scan,
 )
 from .support_function import mu_coeffs, parse_shift
-from .tropical import classify, extract, parse_input_json, roots_and_values
+from .tropical import (
+    classify_from_roots,
+    extract,
+    parse_input_json,
+    roots_and_values,
+)
 from .verify import run_property_suite
 
 
@@ -91,7 +96,11 @@ def _polytope(args, support, keys=False):
 def cmd_extract(args) -> int:
     support, gamma = _load_input(args.input)
     gamma = _need_gamma(gamma)
-    classification = classify(support, gamma)
+    # one root table for the classification and the printout; `extract`
+    # builds its own, in the integers it sorts by
+    w = gamma.hull_vertices()
+    rv = roots_and_values(support, gamma, w)
+    classification = classify_from_roots(support, gamma, w, rv)
     try:
         ctype = extract(support, gamma)
     except DegeneracyError as exc:
@@ -101,7 +110,6 @@ def cmd_extract(args) -> int:
         }
         _emit(args, payload, f"degenerate: {exc}\nclass: {classification.kind}")
         return 2
-    rv = roots_and_values(support, gamma, list(ctype.w))
     payload = {
         **ctype.to_json(),
         "roots": [rational_to_json(r) for r, _ in rv],

@@ -40,8 +40,12 @@ without pivoting.  Z and each M^j are strict total orders, so a chain that
 has grown to p > q > r also implies the comparison p > r, which a sibling
 branch may have proved contradictory; every comparison a chain implies
 counts as contained (the learned explanations of Dutertre and de Moura's
-simplex-based solver).  A core is only ever a proof of emptiness, so the
-store changes no answer and no witness, only the time to reach it.
+simplex-based solver).  Each system carries the set of its forms and the
+comparisons they imply, built from its parent's set by adding what the
+extension brings, so a tree node hashes only the forms it adds and a lookup
+is one subset test per candidate core.  A core is only ever a proof of
+emptiness, so the store changes no answer and no witness, only the time to
+reach it.
 
 A leaf's witness is nudged off the slope-tie walls by small shifts.  One
 `extract` of each candidate, a Covector of its cleared denominators, finds
@@ -56,6 +60,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from math import gcd
+from operator import mul
 
 from .errors import MorsekitError, SlopeDegenerate, SupportTooLarge
 from .rationals import clear_denominators
@@ -70,6 +75,9 @@ class StrictSystem:
     """Homogeneous forms required strictly positive, on g >= 0 variables.
 
     A form shorter than `nvars` is padded with zeros; a longer one is refused.
+    `present` holds the forms and the comparisons they imply, the set the
+    store tests its cores against; `extended` builds a child's from its
+    parent's, hashing only the forms and comparisons it adds.
     """
 
     nvars: int
@@ -79,23 +87,28 @@ class StrictSystem:
     learned: dict[Form, list[frozenset[Form]]] = field(
         default_factory=dict, compare=False, repr=False
     )
-    # comparisons the forms imply (positive combinations of them), which the
-    # store counts as present; the last `fresh` of them came with the newest
-    implied: tuple[Form, ...] = field(default=(), compare=False, repr=False)
-    fresh: int = field(default=0, compare=False, repr=False)
+    # the forms plus the comparisons they imply (positive combinations of
+    # them), which the store counts as present; None builds it from `forms`
+    present: frozenset[Form] | None = field(default=None, compare=False, repr=False)
+    # the comparisons that came with the newest forms
+    fresh: tuple[Form, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        if max(map(len, self.forms), default=0) > self.nvars:
-            raise ValueError(f"a form has more than {self.nvars} coefficients")
+        if self.present is None:
+            _check_lengths(self.forms, self.nvars)
+            object.__setattr__(self, "present", frozenset(self.forms))
 
     def extended(self, extra, implied=()) -> "StrictSystem":
+        extra = tuple(extra)
         implied = tuple(implied)
+        # the parent's forms were checked when it was built
+        _check_lengths(extra, self.nvars)
         return StrictSystem(
             self.nvars,
-            self.forms + tuple(extra),
+            self.forms + extra,
             self.learned,
-            self.implied + implied,
-            len(implied),
+            self.present.union(extra, implied),
+            implied,
         )
 
     def holds_strictly(self, point) -> bool:
@@ -104,6 +117,12 @@ class StrictSystem:
         return all(
             sum(c * x for c, x in zip(form, scaled)) > 0 for form in self.forms
         ) and all(x >= 0 for x in scaled)
+
+
+def _check_lengths(forms, nvars: int) -> None:
+    for form in forms:
+        if len(form) > nvars:
+            raise ValueError(f"a form has more than {nvars} coefficients")
 
 
 # --- exact phase-1 simplex ------------------------------------------------------
@@ -170,12 +189,13 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
     i is basic, y_i = -O[k] / det when surplus i sits in slot k, and 0 when
     surplus i is basic; sum_i y_i l_i <= 0 coefficientwise and sum_i y_i > 0,
     so the rows with y_i > 0 admit no point on their own.  An empty answer
-    records that core in the store `system.learned`, and a system that
-    contains a stored core is answered None before any dictionary is built.
-    The comparisons in `system.implied` count as contained, and cores are
+    records that core in the store `system.learned`, and a system whose
+    `present` set, its forms and the comparisons they imply, contains a
+    stored core is answered None before any dictionary is built.  Cores are
     looked up only under the last form and the comparisons that came with
-    it (see `_stored_core_within`): systems grow by appending to a feasible
-    prefix, so only these can complete a core, and a miss merely solves.
+    it (see `_stored_core_within`), one subset test each: systems grow by
+    appending to a feasible prefix, so only these can complete a core, and
+    a miss merely solves.
 
     The witness is a tuple of Fractions that also carries the simplex's
     integers, as `numerators` over `det`.
@@ -274,25 +294,26 @@ def _solve(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
 
 
 def _stored_core_within(system: StrictSystem) -> bool:
-    """Whether a stored core lies within the forms and the comparisons they imply.
+    """Whether a stored core lies within `system.present`.
 
-    Every comparison in `system.implied` counts as present.  It is positive
-    wherever the forms are, so a hit is a proof of emptiness.  Cores are
-    looked up under the newest form and the comparisons that came with it
-    only: systems grow by appending to a feasible prefix, and no core lies
-    within what a feasible system implies, so any core that lies within
-    this one holds one of these keys, or an earlier form of the same
-    extension, which a drop-rule step makes several at once; a miss merely
-    solves.
+    `present` holds the forms and the comparisons they imply; each such
+    comparison is positive wherever the forms are, so a hit is a proof of
+    emptiness.  Cores are looked up under the newest form and the
+    comparisons that came with it (`system.fresh`) only: systems grow by
+    appending to a feasible prefix, and no core lies within what a feasible
+    system implies, so any core that lies within this one holds one of these
+    keys, or an earlier form of the same extension, which a drop-rule step
+    makes several at once; a miss merely solves.  A lookup costs one dict
+    probe per key and one subset test per core found, which reads the
+    hashes the sets already hold.
     """
-    implied = system.implied
-    keys = (system.forms[-1], *implied[len(implied) - system.fresh :])
     learned = system.learned
-    cores = [core for key in keys for core in learned.get(key, ())]
-    if not cores:
-        return False
-    present = set(system.forms).union(implied)
-    return any(core <= present for core in cores)
+    present = system.present
+    for key in (system.forms[-1], *system.fresh):
+        for core in learned.get(key, ()):
+            if core <= present:
+                return True
+    return False
 
 
 # The enumeration solves the same forms many times over, so each form's
@@ -472,11 +493,11 @@ def _extend(
     witness comes from `feasible`; the parent witness usually satisfies the
     new form already, which its integer numerators show, so the exact
     simplex runs only when it does not.  `implied` are the comparisons the
-    new forms imply with the old ones (see `StrictSystem.implied`).
+    new forms imply with the old ones (see `StrictSystem.present`).
     """
     child = system.extended(extra, implied)
     numerators = witness.numerators
-    if all(sum(c * x for c, x in zip(form, numerators)) > 0 for form in extra):
+    if all(sum(map(mul, form, numerators)) > 0 for form in extra):
         return child, witness
     return child, feasible(child)
 

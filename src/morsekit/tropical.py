@@ -441,7 +441,17 @@ def classify(support: SupportSet, gamma: Covector) -> Classification:
     `slope_groups`.  The test is exact and tolerates covectors on hull walls.
     """
     w = gamma.hull_vertices()
-    rv = roots_and_values(support, gamma, w)
+    return classify_from_roots(support, gamma, w, roots_and_values(support, gamma, w))
+
+
+def classify_from_roots(
+    support: SupportSet,
+    gamma: Covector,
+    w: list[int],
+    rv: list[tuple[Fraction, Fraction]],
+) -> Classification:
+    """`classify`, given the hull vertices w and `roots_and_values` on them,
+    for a caller that prints the roots and values too."""
     maxwell = _first_equal_pair([phi for _, phi in rv])
     groups = slope_groups(support.points, gamma.values)
     group_of = {pair: pairs for pairs in groups for pair in pairs}

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from morsekit import tropical
 from morsekit.cli import main
 
 from conftest import time_limit
@@ -628,6 +629,21 @@ def test_readme_extract_output(capsys):
     assert README_EXAMPLES[0][0] == "extract"
     code, out, _ = run(capsys, *README_EXAMPLES[0])
     assert code == 0 and out == block.group(1)
+
+
+def test_extract_builds_two_root_tables(capsys, monkeypatch):
+    # the classification and the printed roots and values share one table;
+    # `extract` builds the other, in the integers it sorts by
+    built = []
+    root_table = tropical._root_table
+
+    def counting(*args):
+        built.append(args)
+        return root_table(*args)
+
+    monkeypatch.setattr(tropical, "_root_table", counting)
+    code, _, _ = run(capsys, *README_EXAMPLES[0])
+    assert code == 0 and len(built) == 2
 
 
 @pytest.mark.parametrize("argv", README_EXAMPLES, ids=lambda argv: argv[0])

@@ -133,7 +133,8 @@ def test_core_under_an_implied_comparison_answers_without_solving():
     for core in ({implied}, {implied, f0}):
         store = {implied: [frozenset(core)]}
         grown = StrictSystem(6, (f0, f1), store).extended([f2], [implied])
-        assert (grown.implied, grown.fresh) == ((implied,), 1)
+        assert grown.present == {f0, f1, f2, implied}
+        assert grown.fresh == (implied,)
         assert feasible(grown) is None
         assert feasible(StrictSystem(6, grown.forms)) is not None
     # comparisons that came with older forms count as present too
@@ -150,11 +151,12 @@ def test_older_implied_comparisons_are_not_looked_up():
     store = {older: [frozenset({older})]}
     system = StrictSystem(6, (f0,), store).extended([f1], [older])
     grown = system.extended([f2], [implied])
-    assert (grown.implied, grown.fresh) == ((older, implied), 1)
+    assert grown.present == {f0, f1, f2, older, implied}
+    assert grown.fresh == (implied,)
     assert feasible(grown) == feasible(StrictSystem(6, grown.forms))
     assert feasible(grown) is not None
     # a form added without comparisons brings none
-    assert system.extended([f2]).fresh == 0
+    assert system.extended([f2]).fresh == ()
     assert feasible(system.extended([f2])) is not None
 
 
@@ -188,6 +190,14 @@ def test_store_is_not_part_of_the_system_value():
     assert StrictSystem(2, forms, {}) == StrictSystem(2, forms)
     assert hash(StrictSystem(2, forms, {})) == hash(StrictSystem(2, forms))
     assert "learned" not in repr(StrictSystem(2, forms, {}))
+    # nor is the set of forms and implied comparisons the store reads
+    grown = StrictSystem(2, forms[:1]).extended(forms[1:], [(1, 1)])
+    assert grown.present != StrictSystem(2, forms).present
+    assert grown.fresh != StrictSystem(2, forms).fresh
+    assert grown == StrictSystem(2, forms)
+    assert hash(grown) == hash(StrictSystem(2, forms))
+    assert repr(grown) == repr(StrictSystem(2, forms))
+    assert "present" not in repr(grown) and "fresh" not in repr(grown)
 
 
 def test_form_longer_than_nvars_is_refused():
@@ -291,7 +301,12 @@ def test_tree_leaves_carry_the_cone_constraints(monkeypatch, points):
 
 @pytest.mark.parametrize(
     "points,solved",
-    [([1, 2, 3, 4], 24), ([2, 3, 4, 6], 25), ([-3, -1, 1, 2, 4], 379)],
+    [
+        ([1, 2, 3, 4], 24),
+        ([2, 3, 4, 6], 25),
+        ([-3, -1, 1, 2, 4], 379),
+        ([1, 2, 3, 4, 5], 290),
+    ],
     ids=lambda arg: ",".join(map(str, arg)) if isinstance(arg, list) else None,
 )
 def test_tree_answers_match_storeless_solves(monkeypatch, points, solved):
