@@ -10,6 +10,7 @@ covector, 3 when `verify` finds a failing property.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -281,9 +282,10 @@ def cmd_strata(args) -> int:
     return 0
 
 
-# A 200-sample `verify` on [-3,-1,1,2,4] takes about 36 ms with its 7 ms
-# drop-key build (2-core x86 box, Python 3.11): about 0.15 ms a sample, so the
-# cap is a run of about 15 s.  Past it `verify` refuses before the build.
+# A 200-sample `verify` on [-3,-1,1,2,4] takes about 34 ms with its 7 ms
+# drop-key build (2-core x86 box shared with other load, Python 3.11): about
+# 0.13 ms a sample, so the cap is a run of about 13 s.  Past it `verify`
+# refuses before the build.
 _MAX_SAMPLES = 10**5
 
 
@@ -346,6 +348,9 @@ _OPTIONS = {
 }
 
 
+# one parser per process: `main` parses each call with it, and argparse
+# keeps no state between parses
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="morsekit",

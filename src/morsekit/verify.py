@@ -9,7 +9,14 @@ and its mu, C^j and |A2| forms (all linear on its cone) are built once per
 run, at its first sample.  On each sample:
 
   * dominance: the maximum of <vertex, gamma> over the polytope equals the
-    support-function value, attained exactly at the extracted cone's vertex;
+    support-function value, attained exactly at the extracted cone's vertex.
+    The vertices are packed once per run into one int per coordinate, every
+    vertex in its own bit field (`PackedHeights`), so a sample's heights are
+    |A| big-int multiply-adds and the verdict is one AND over the fields.
+    The fields are sized from the largest vertex 1-norm times the sampler's
+    bound; mu is only compared exactly with the own vertex's height, so no
+    value of it can overflow a field.  Only a failing sample decodes the
+    heights, for its detail;
   * the gcd-ladder and level-scan routes to every C^j agree;
   * the closed-form and trapezoid-stack fiber areas agree;
   * the shoelace and edge-sum Newton areas agree;
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import DegeneracyError
 from .fiber import (
@@ -39,8 +47,13 @@ from .support_function import a2_coeffs, mu_coeffs
 from .tropical import CombinatorialType, Covector, SupportSet, extract
 
 
+# the largest entry `sample_morse_covector` draws; it also sizes the fields
+# of `PackedHeights`
+SAMPLE_BOUND = 50
+
+
 def sample_morse_covector(
-    support: SupportSet, rng: random.Random, *, bound: int = 50
+    support: SupportSet, rng: random.Random, *, bound: int = SAMPLE_BOUND
 ) -> tuple[Covector, CombinatorialType, int]:
     """A Morse covector from the seeded grid, its type, and the resample count.
 
@@ -55,6 +68,53 @@ def sample_morse_covector(
             resamples += 1
             continue
         return gamma, ctype, resamples
+
+
+class PackedHeights:
+    """A vertex set packed so that a covector's heights on it are one int.
+
+    Column `a` holds every vertex's a-th coordinate, vertex i's in the W-bit
+    field at bit W*i, so the sum of gamma_a times column a holds
+    <vertex_i, gamma> in field i.  On a covector with entries in [0, bound]
+    each height lies in [-X, X] for X = bound times the largest 1-norm of a
+    vertex, and each field of the dominance test in [-(2X+1), 2X+1];
+    W = X.bit_length() + 2 holds that plus a bias of 2^(W-1), so no field
+    borrows from the next.
+    """
+
+    def __init__(self, vertices, bound: int = SAMPLE_BOUND):
+        reach = bound * max(sum(map(abs, v)) for v in vertices)
+        self.width = width = reach.bit_length() + 2
+        self.count = len(vertices)
+        self.ones = sum(1 << (width * i) for i in range(self.count))
+        self.tops = self.ones << (width - 1)  # the bias, and each field's sign bit
+        self.columns = tuple(
+            sum(c << (width * i) for i, c in enumerate(column))
+            for column in zip(*vertices)
+        )
+
+    def heights(self, values) -> int:
+        """Every vertex's height at the covector with these values, packed."""
+        return sum(map(mul, values, self.columns))
+
+    def offset(self, index: int) -> int:
+        """The bias less 1 in every field but vertex `index`'s."""
+        return self.tops - self.ones + (1 << (self.width * index))
+
+    def dominates(self, packed: int, own: int, offset: int) -> bool:
+        """Whether `own` is above every packed height but that of the vertex
+        `offset` was made for, and at least that one.
+
+        Field i holds own - height_i - [i is not that vertex] plus the bias,
+        so that difference is >= 0 exactly when the field's top bit is set.
+        """
+        return (own * self.ones - packed + offset) & self.tops == self.tops
+
+    def decode(self, packed: int) -> list[int]:
+        """The heights, one per vertex in order, read back out of `packed`."""
+        biased, width = packed + self.tops, self.width
+        mask, half = (1 << width) - 1, 1 << (width - 1)
+        return [((biased >> (width * i)) & mask) - half for i in range(self.count)]
 
 
 @dataclass
@@ -124,34 +184,43 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
     dual_area = PropertyReport("newton_area_dual_route")
     strata = PropertyReport("strata_consistency")
     result.reports = [dominance, dual_c, dual_vol, dual_area, strata]
-    # each type's forms, built at its first sample: (mu, vertex, C^j, |A2|)
+    packing = PackedHeights(polytope.vertices)
+    position = {v: i for i, v in enumerate(polytope.vertices)}
+    # each type's forms, built at its first sample: mu, vertex, the vertex's
+    # dominance offset, C^j and |A2|
     forms: dict[CombinatorialType, tuple] = {}
 
     for _ in range(samples):
         gamma, ctype, extra = sample_morse_covector(support, rng)
         result.resamples += extra
         if ctype not in forms:
+            mu_form = mu_coeffs(support, ctype, shift)
+            vertex = polytope.vertex_of(ctype)
             forms[ctype] = (
-                mu_coeffs(support, ctype, shift),
-                polytope.vertex_of(ctype),
+                mu_form,
+                vertex,
+                packing.offset(position[vertex]),
                 [c_coeffs(support, ctype, j) for j in range(ctype.k)],
                 a2_coeffs(support, ctype),
             )
-        mu_form, vertex, c_forms, a2_form = forms[ctype]
+        mu_form, vertex, offset, c_forms, a2_form = forms[ctype]
+        # the sample holds ints, so each form's value is its plain sum
+        values = gamma.values
 
-        mu = gamma.dot(mu_form)
-        heights = [gamma.dot(v) for v in polytope.vertices]
-        best = max(heights)
-        own = gamma.dot(vertex)
-        argmax_count = heights.count(best)
-        dominance.record(
-            best == mu and own == mu and argmax_count == 1,
-            gamma,
-            f"max={best} mu={mu} own={own} argmax_count={argmax_count}",
-        )
+        mu = sum(map(mul, mu_form, values))
+        own = sum(map(mul, vertex, values))
+        packed = packing.heights(values)
+        ok = own == mu and packing.dominates(packed, own, offset)
+        detail = ""
+        if not ok:
+            heights = packing.decode(packed)
+            best = max(heights)
+            argmax_count = heights.count(best)
+            detail = f"max={best} mu={mu} own={own} argmax_count={argmax_count}"
+        dominance.record(ok, gamma, detail)
 
         # the ladder route; the level route below scans the sample itself
-        corrections = [gamma.dot(c) for c in c_forms]
+        corrections = [sum(map(mul, c, values)) for c in c_forms]
         ok = True
         detail = ""
         for j, lhs in enumerate(corrections):
@@ -180,7 +249,7 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
 
         counts = solve_strata(gamma, ctype, shift, shoelace, mu)
         # |A2| read off the cone's own form, not from the shoelace or mu
-        a2 = gamma.dot(a2_form)
+        a2 = sum(map(mul, a2_form, values))
         w0, wk = ctype.w[0], ctype.w[-1]
         eq1 = counts.chi_a1 + 2 * counts.n_2a1 + 2 * a2 == -shoelace
         eq2 = counts.n_a2 == a2

@@ -584,6 +584,37 @@ def test_help_exits_zero(capsys):
     assert code == 0 and "--max-support-size" in out
 
 
+def test_one_parser_answers_like_fresh_ones(capsys, monkeypatch):
+    # main parses every call with one parser; a usage error before and after
+    # a valid command reads as it does from a parser built for each call
+    import morsekit.cli as cli_mod
+
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    sequence = (
+        ("verify", '{"A": [1,2,3,4]}', "--samples", "abc"),
+        ("verify", '{"A": [1,2,3,4]}', "--samples", "5", "--seed", "2"),
+        ("polytope", "no-such-input.json", "--max-support-size", "2"),
+        ("verify", '{"A": [1,2,3,4]}', "--samples", "abc"),
+    )
+
+    def answers():
+        out = []
+        for argv in sequence:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    shared = answers()
+    monkeypatch.setattr(cli_mod, "build_parser", cli_mod.build_parser.__wrapped__)
+    fresh = answers()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 1, 1]
+    assert shared[0] == shared[3] and "usage:" in shared[0][2]
+
+
 @pytest.mark.parametrize("cap", ["2", "0", "-5"])
 @pytest.mark.parametrize("command", ["enumerate", "polytope", "verify", "plot"])
 def test_support_cap_below_three_is_a_usage_error(capsys, command, cap):

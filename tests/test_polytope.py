@@ -1,5 +1,6 @@
 """Polytope assembly, projections, and rendering."""
 
+import dataclasses
 import random
 import sys
 from collections import Counter
@@ -184,6 +185,28 @@ def test_a_wrong_form_fails_every_sample_of_its_type(
     result = run_property_suite(poly, 200, 1)
     failed = {r.name: r.failed for r in result.reports}
     assert failed[report] == count
+
+
+def test_a_vertex_above_every_cone_vertex_fails_dominance(mixed_support):
+    # one more vertex, above the others in every coordinate, is the strict
+    # maximum on every sample; the failing samples decode their heights into
+    # the detail the per-vertex check gives
+    poly = build_polytope(mixed_support, keys=True)
+    top = tuple(max(column) + 1 for column in zip(*poly.vertices))
+    grown = dataclasses.replace(poly, vertices=poly.vertices + (top,))
+    result = run_property_suite(grown, 200, 1)
+    dominance = result.reports[0]
+    assert (dominance.name, dominance.passed, dominance.failed) == ("dominance", 0, 200)
+    assert all(r.ok for r in result.reports[1:])
+    gamma = dominance.counterexample["gamma"]
+    heights = [dot(v, gamma) for v in grown.vertices]
+    ctype = extract(mixed_support, Covector(mixed_support, gamma))
+    own = dot(poly.vertex_of(ctype), gamma)
+    assert max(heights) == heights[-1] > own
+    assert dominance.counterexample == {
+        "gamma": [7, 31, 48, 28, 30],
+        "detail": "max=6447 mu=3449 own=3449 argmax_count=1",
+    }
 
 
 def test_verify_never_rescales_an_integer_sample(monkeypatch, mixed_support):

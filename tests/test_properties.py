@@ -54,6 +54,7 @@ from morsekit.rationals import (  # noqa: E402
     rational_to_json,
 )
 from morsekit.tropical import check_slopes, slope_groups  # noqa: E402
+from morsekit.verify import SAMPLE_BOUND, PackedHeights  # noqa: E402
 from conftest import time_limit  # noqa: E402
 from reference_extract import (  # noqa: E402
     reference_extract,
@@ -571,3 +572,98 @@ def test_validate_support_invariants(raw):
     assert points[-1] - points[0] >= 3
     assert gcd(*(q - p for p, q in zip(points, points[1:]))) == 1
     assert validate_support(points) == support
+
+
+def _dominance_by_vertex(vertices, own_index, values):
+    """The heights one vertex at a time, and whether the own vertex is the
+    one strict maximum among them."""
+    heights = [sum(c * g for c, g in zip(v, values)) for v in vertices]
+    own = heights[own_index]
+    return heights, max(heights) == own and heights.count(own) == 1
+
+
+def _packed_verdict(vertices, own_index, values, bound):
+    packing = PackedHeights(vertices, bound)
+    packed = packing.heights(values)
+    own = sum(c * g for c, g in zip(vertices[own_index], values))
+    verdict = packing.dominates(packed, own, packing.offset(own_index))
+    return packing, packed, own, verdict
+
+
+@st.composite
+def vertex_sets(draw):
+    """1-7 coordinates, 1-12 vertices with coordinates of either sign up to
+    a 1-norm near 2^k - 1, an own vertex, and a covector up to the bound; a
+    narrow coordinate range makes ties at the maximum common."""
+    bound = draw(st.sampled_from([1, 3, SAMPLE_BOUND]))
+    n = draw(st.integers(1, 7))
+    reach = draw(st.sampled_from([1, 2, 7, 2**10 - 1, 2**31 - 1]))
+    coordinate = st.integers(-reach, reach)
+    vertices = draw(
+        st.lists(st.tuples(*[coordinate] * n), min_size=1, max_size=12, unique=True)
+    )
+    own_index = draw(st.integers(0, len(vertices) - 1))
+    values = draw(st.tuples(*[st.integers(0, bound)] * n))
+    return vertices, own_index, values, bound
+
+
+@settings(max_examples=500, deadline=None)
+@given(vertex_sets())
+def test_packed_dominance_matches_the_per_vertex_verdict(case):
+    vertices, own_index, values, bound = case
+    heights, expected = _dominance_by_vertex(vertices, own_index, values)
+    packing, packed, _, verdict = _packed_verdict(vertices, own_index, values, bound)
+    assert verdict == expected
+    assert packing.decode(packed) == heights
+
+
+@pytest.mark.parametrize(
+    "vertices, own_index, values, expected",
+    [
+        # negative coordinates, own vertex strictly highest
+        (((-3, 5, -1), (2, -4, 0), (-1, -1, -1)), 0, (2, 3, 1), True),
+        # a tie at the maximum with another vertex
+        (((1, 2), (2, 1), (0, 0)), 0, (4, 4), False),
+        # a vertex above the own vertex
+        (((1, 2), (2, 1), (0, 0)), 0, (5, 1), False),
+        # the own vertex alone
+        (((-7, 0, 7),), 0, (0, 0, 0), True),
+    ],
+    ids=["negative", "tie", "above", "alone"],
+)
+def test_packed_dominance_named_cases(vertices, own_index, values, expected):
+    heights, reference = _dominance_by_vertex(vertices, own_index, values)
+    assert reference == expected
+    for bound in (max(values), SAMPLE_BOUND):
+        packing, packed, _, verdict = _packed_verdict(
+            vertices, own_index, values, bound
+        )
+        assert verdict == expected
+        assert packing.decode(packed) == heights
+
+
+@pytest.mark.parametrize("bound", [1, 3, SAMPLE_BOUND])
+@pytest.mark.parametrize("k", [1, 2, 5, 13, 40])
+def test_packed_fields_at_the_ends_of_their_range(bound, k):
+    # 1-norms of 2^k - 1 and a covector at the bound: the own vertex at
+    # height X and the other at -X put the other's field at 2X - 1, the
+    # reverse at -(2X+1), the ends of its range; at bound 1, X = 2^k - 1 and,
+    # once biased, those fields are 2^W - 3 and 1, near the ends W allows
+    norm = 2**k - 1
+    x = bound * norm
+    values = (bound, bound)
+    for own_vertex, other, expected in (
+        ((norm, 0), (0, -norm), True),
+        ((-norm, 0), (0, norm), False),
+    ):
+        vertices = (own_vertex, other)
+        packing, packed, own, verdict = _packed_verdict(vertices, 0, values, bound)
+        assert verdict == expected
+        assert packing.decode(packed) == [own, -own]
+        width, mask = packing.width, (1 << packing.width) - 1
+        assert width == x.bit_length() + 2
+        fields = own * packing.ones - packed + packing.offset(0)
+        field = (fields >> width) & mask
+        assert field - (1 << (width - 1)) == (2 * x - 1 if expected else -(2 * x + 1))
+        if bound == 1:
+            assert field == (mask - 2 if expected else 1)
