@@ -348,9 +348,6 @@ _OPTIONS = {
 }
 
 
-# one parser per process: `main` parses each call with it, and argparse
-# keeps no state between parses
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="morsekit",
@@ -359,39 +356,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     text, svg = ("json", "text"), ("json", "text", "svg")
     pool = ("--jobs", "--max-support-size")
-    # subcommand, handler, help, --format choices, the other flags it reads
+    # subcommand, help, --format choices, the other flags it reads
     commands = (
-        ("extract", cmd_extract, "combinatorial data of a covector", text, ()),
-        ("mu", cmd_mu, "support-function value and cone vertex", text, ("--shift",)),
-        ("cj", cmd_cj, "correction sums C^j with dual-route diagnostics", text, ()),
-        ("fiber", cmd_fiber, "fiber polygon as a trapezoid stack", svg, ()),
-        ("enumerate", cmd_enumerate, "all realizable combinatorial types", text, pool),
-        ("polytope", cmd_polytope, "vertices and cone table of the polytope", svg,
+        ("extract", "combinatorial data of a covector", text, ()),
+        ("mu", "support-function value and cone vertex", text, ("--shift",)),
+        ("cj", "correction sums C^j with dual-route diagnostics", text, ()),
+        ("fiber", "fiber polygon as a trapezoid stack", svg, ()),
+        ("enumerate", "all realizable combinatorial types", text, pool),
+        ("polytope", "vertices and cone table of the polytope", svg,
          ("--shift", "--axes", *pool)),
-        ("strata", cmd_strata, "multisingularity stratum counts", text, ("--shift",)),
-        ("verify", cmd_verify, "seeded property suite", text,
+        ("strata", "multisingularity stratum counts", text, ("--shift",)),
+        ("verify", "seeded property suite", text,
          ("--shift", "--samples", "--seed", *pool)),
-        ("plot", cmd_plot, "SVG of the projected polytope or fiber polygon", (),
+        ("plot", "SVG of the projected polytope or fiber polygon", (),
          ("--shift", "--axes", *pool)),
     )
-    for name, func, help_text, formats, flags in commands:
+    for name, help_text, formats, flags in commands:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="inline JSON or path to a JSON file")
         if formats:
             p.add_argument("--format", choices=formats, default="text")
         for flag in flags:
             p.add_argument(flag, **_OPTIONS[flag])
-        p.set_defaults(func=func)
     return parser
 
 
+# `main` parses every call with one parser, built at its first call: argparse
+# keeps no state between parses, and the parser holds no handler, since
+# `main` looks each command's `cmd_*` up when it runs
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if (cap := getattr(args, "max_support_size", 3)) < 3:  # no valid support is smaller
         parser.error(f"argument --max-support-size: must be >= 3, got {cap}")
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (MorsekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,8 +47,8 @@ from .support_function import a2_coeffs, mu_coeffs
 from .tropical import CombinatorialType, Covector, SupportSet, extract
 
 
-# the largest entry `sample_morse_covector` draws; it also sizes the fields
-# of `PackedHeights`
+# the largest entry `run_property_suite` samples; the fields of its
+# `PackedHeights` are sized for it, so both calls there name it
 SAMPLE_BOUND = 50
 
 
@@ -82,7 +82,7 @@ class PackedHeights:
     borrows from the next.
     """
 
-    def __init__(self, vertices, bound: int = SAMPLE_BOUND):
+    def __init__(self, vertices, bound: int):
         reach = bound * max(sum(map(abs, v)) for v in vertices)
         self.width = width = reach.bit_length() + 2
         self.count = len(vertices)
@@ -184,14 +184,14 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
     dual_area = PropertyReport("newton_area_dual_route")
     strata = PropertyReport("strata_consistency")
     result.reports = [dominance, dual_c, dual_vol, dual_area, strata]
-    packing = PackedHeights(polytope.vertices)
+    packing = PackedHeights(polytope.vertices, SAMPLE_BOUND)
     position = {v: i for i, v in enumerate(polytope.vertices)}
     # each type's forms, built at its first sample: mu, vertex, the vertex's
     # dominance offset, C^j and |A2|
     forms: dict[CombinatorialType, tuple] = {}
 
     for _ in range(samples):
-        gamma, ctype, extra = sample_morse_covector(support, rng)
+        gamma, ctype, extra = sample_morse_covector(support, rng, bound=SAMPLE_BOUND)
         result.resamples += extra
         if ctype not in forms:
             mu_form = mu_coeffs(support, ctype, shift)

@@ -589,7 +589,7 @@ def test_one_parser_answers_like_fresh_ones(capsys, monkeypatch):
     # a valid command reads as it does from a parser built for each call
     import morsekit.cli as cli_mod
 
-    assert cli_mod.build_parser() is cli_mod.build_parser()
+    assert cli_mod._parser() is cli_mod._parser()
     sequence = (
         ("verify", '{"A": [1,2,3,4]}', "--samples", "abc"),
         ("verify", '{"A": [1,2,3,4]}', "--samples", "5", "--seed", "2"),
@@ -608,11 +608,30 @@ def test_one_parser_answers_like_fresh_ones(capsys, monkeypatch):
         return out
 
     shared = answers()
-    monkeypatch.setattr(cli_mod, "build_parser", cli_mod.build_parser.__wrapped__)
+    monkeypatch.setattr(cli_mod, "_parser", cli_mod.build_parser)
     fresh = answers()
     assert shared == fresh
     assert [code for code, _, _ in shared] == [1, 0, 1, 1]
     assert shared[0] == shared[3] and "usage:" in shared[0][2]
+
+
+def test_main_runs_the_handler_bound_when_it_is_called(capsys, monkeypatch):
+    # the shared parser holds no handler: rebinding a `cmd_*` after the
+    # parser is built (a tracer, a monkeypatch) reaches main, and undoing it
+    # restores the original
+    import morsekit.cli as cli_mod
+
+    argv = ["verify", '{"A": [1,2,3,4]}', "--samples", "3"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    seen = []
+    monkeypatch.setattr(
+        cli_mod, "cmd_verify", lambda args: seen.append(args.samples) or 7
+    )
+    assert main(argv) == 7 and seen == [3]
+    monkeypatch.undo()
+    assert main(argv) == 0 and capsys.readouterr().out == first
+    assert "func" not in vars(cli_mod._parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("cap", ["2", "0", "-5"])
