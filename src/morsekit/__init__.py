@@ -8,7 +8,7 @@ with fiber-polygon cross-checks.
 Each public name loads its submodule on first use, and so does each
 submodule name (`morsekit.cones`): `import morsekit` runs no submodule, and
 the README's `extract` example loads only `errors`, `rationals` and
-`tropical`.
+`tropical`.  `_HOME` is the one list of public names; `__all__` is read off it.
 """
 
 import importlib
@@ -107,69 +107,4 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_HOME})
 
 
-__all__ = [
-    "BadAxes",
-    "Classification",
-    "CombinatorialType",
-    "Covector",
-    "DegenerateHull",
-    "DuplicatePoint",
-    "FacetFunctional",
-    "FiberPolygon",
-    "HyperplaneViolation",
-    "MalformedInput",
-    "MorsePolytope",
-    "MorsekitError",
-    "NonIntegerCovector",
-    "NotGenerating",
-    "NotMorse",
-    "NotPositiveSupport",
-    "NumberTooLarge",
-    "RootValueDegenerate",
-    "ShiftConfig",
-    "SlopeDegenerate",
-    "StrataCounts",
-    "StrictSystem",
-    "SupportSet",
-    "SupportTooLarge",
-    "TooShort",
-    "ZeroInSupport",
-    "area_newton",
-    "area_newton_formula",
-    "build_polytope",
-    "c_coeffs",
-    "c_value",
-    "c_value_via_levels",
-    "chi_fork",
-    "classify",
-    "cone_constraints",
-    "convex_hull_2d",
-    "covector_from_values",
-    "drop_key",
-    "enumerate_types",
-    "extract",
-    "facet_functional",
-    "feasible",
-    "fiber_polygon",
-    "gcd_ladder",
-    "level_scan",
-    "maxwell_caustic_split",
-    "mu_coeffs",
-    "mu_coeffs_positive",
-    "mu_value",
-    "newton_polygon_vertices",
-    "parse_input_json",
-    "parse_rational",
-    "parse_shift",
-    "project_and_hull",
-    "rational_to_json",
-    "render_svg",
-    "roots_and_values",
-    "run_property_suite",
-    "sample_morse_covector",
-    "strata_counts",
-    "unit_interval_shift",
-    "upper_hull",
-    "validate_support",
-    "vol_fiber_closed",
-]
+__all__ = sorted(name for name, home in _HOME.items() if name != home)

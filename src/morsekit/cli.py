@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .cones import cone_constraints, enumerate_types
+from .cones import MAX_SUPPORT_SIZE, cone_constraints, enumerate_types
 from .errors import DegeneracyError, MorsekitError
 from .fiber import fiber_polygon, strata_counts, vol_fiber_closed
 from .polytope import build_polytope, project_and_hull, render_svg
@@ -67,21 +67,10 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
-def _jobs(args) -> int | None:
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("MORSEKIT_JOBS")
-        if not env:
-            return None
-        try:
-            jobs = int(env)
-        except ValueError as exc:
-            raise MorsekitError(
-                f"MORSEKIT_JOBS must be an integer, got {env!r}"
-            ) from exc
-    if jobs < 1:
-        raise MorsekitError(f"--jobs and MORSEKIT_JOBS must be >= 1, got {jobs}")
-    return jobs
+def _jobs(args) -> int:
+    if args.jobs < 1:
+        raise MorsekitError(f"--jobs must be >= 1, got {args.jobs}")
+    return args.jobs
 
 
 def _polytope(args, support, keys=False):
@@ -341,10 +330,8 @@ _OPTIONS = {
     "--axes": dict(default=None, help="projection axes 'i,j'"),
     "--samples": dict(type=int, default=200),
     "--seed": dict(type=int, default=0),
-    "--jobs": dict(type=int, default=None,
-                   help="parallel workers, at most the CPU count "
-                   "(default: MORSEKIT_JOBS or 1)"),
-    "--max-support-size": dict(type=int, default=7),
+    "--jobs": dict(type=int, default=1, help="parallel workers, at most the CPU count"),
+    "--max-support-size": dict(type=int, default=MAX_SUPPORT_SIZE),
 }
 
 

@@ -582,8 +582,14 @@ def _pool_size(jobs: int | None, tasks: int) -> int:
     return max(1, min(jobs or 1, os.cpu_count() or 1, tasks))
 
 
+MAX_SUPPORT_SIZE = 7
+
+
 def enumerate_types(
-    support: SupportSet, *, max_support_size: int = 7, jobs: int | None = None
+    support: SupportSet,
+    *,
+    max_support_size: int = MAX_SUPPORT_SIZE,
+    jobs: int | None = None,
 ) -> list[tuple[CombinatorialType, Covector]]:
     """Every realizable combinatorial type, with an interior witness each.
 
@@ -600,7 +606,10 @@ def enumerate_types(
 
 
 def enumerate_keys(
-    support: SupportSet, *, max_support_size: int = 7, jobs: int | None = None
+    support: SupportSet,
+    *,
+    max_support_size: int = MAX_SUPPORT_SIZE,
+    jobs: int | None = None,
 ) -> list[tuple[CombinatorialType, Covector]]:
     """Every realizable drop key, with an interior witness each.
 

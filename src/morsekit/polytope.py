@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor
 
-from .cones import enumerate_keys, enumerate_types
+from .cones import MAX_SUPPORT_SIZE, enumerate_keys, enumerate_types
 from .errors import BadAxes, HyperplaneViolation, NumberTooLarge
 from .rationals import rational_to_json
 from .singularity import drop_key
@@ -41,14 +41,12 @@ class MorsePolytope:
 
     @cached_property
     def _cone_index(self) -> dict[CombinatorialType, int]:
-        return {record.ctype: record.vertex_index for record in self.cones}
+        # a type and its drop key share one vertex, and a key is its own key
+        return {drop_key(record.ctype): record.vertex_index for record in self.cones}
 
     def vertex_of(self, ctype: CombinatorialType) -> tuple[int, ...]:
-        """The vertex of a type's cone, looked up as given or by its drop key."""
-        index = self._cone_index
-        found = index.get(ctype)
-        if found is None:
-            found = index.get(drop_key(ctype))
+        """The vertex of a type's cone, looked up by its drop key."""
+        found = self._cone_index.get(drop_key(ctype))
         if found is None:
             raise KeyError(f"no cone for {ctype}")
         return self.vertices[found]
@@ -75,7 +73,7 @@ def build_polytope(
     support: SupportSet,
     shift: ShiftConfig = ShiftConfig(),
     *,
-    max_support_size: int = 7,
+    max_support_size: int = MAX_SUPPORT_SIZE,
     jobs: int | None = None,
     keys: bool = False,
 ) -> MorsePolytope:

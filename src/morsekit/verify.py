@@ -128,7 +128,7 @@ class PropertyReport:
     def ok(self) -> bool:
         return self.failed == 0
 
-    def record(self, ok: bool, gamma: Covector, detail: str = ""):
+    def record(self, ok: bool, gamma: Covector, detail: str):
         if ok:
             self.passed += 1
         else:
@@ -240,11 +240,13 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
         shoelace = area_newton(support, gamma)
         closed = vol_fiber_closed(support, gamma, ctype)
         stacked = trapezoid_stack(support, gamma, ctype, shoelace).area()
-        dual_vol.record(closed == stacked, gamma, f"closed={closed} stack={stacked}")
+        ok = closed == stacked
+        dual_vol.record(ok, gamma, "" if ok else f"closed={closed} stack={stacked}")
 
         formula = area_newton_formula(support, gamma)
+        ok = shoelace == formula
         dual_area.record(
-            shoelace == formula, gamma, f"shoelace={shoelace} formula={formula}"
+            ok, gamma, "" if ok else f"shoelace={shoelace} formula={formula}"
         )
 
         counts = solve_strata(gamma, ctype, shift, shoelace, mu)
@@ -263,9 +265,8 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
         # parity is a property of the (0, 0) convention
         doubled = 2 * counts.n_2a1
         parity = (doubled - shift.c1 * gamma(w0) - shift.c2 * gamma(wk)) % 2 == 0
+        ok = eq1 and eq2 and eq3 and parity
         strata.record(
-            eq1 and eq2 and eq3 and parity,
-            gamma,
-            f"eq1={eq1} eq2={eq2} eq3={eq3} parity={parity}",
+            ok, gamma, "" if ok else f"eq1={eq1} eq2={eq2} eq3={eq3} parity={parity}"
         )
     return result

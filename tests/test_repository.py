@@ -175,7 +175,10 @@ def _unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        targets = node.targets if isinstance(node, ast.Assign) else []
+        # only a literal list is read: a derived `__all__`, as the package's,
+        # is computed from names the module already reads
+        literal = isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+        targets = node.targets if literal else []
         if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
             used |= {elt.value for elt in node.value.elts}
     found = []
