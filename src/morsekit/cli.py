@@ -271,10 +271,10 @@ def cmd_strata(args) -> int:
     return 0
 
 
-# A 200-sample `verify` on [-3,-1,1,2,4] takes about 34 ms with its 7 ms
+# A 200-sample `verify` on [-3,-1,1,2,4] takes about 31 ms with its 6 ms
 # drop-key build (2-core x86 box shared with other load, Python 3.11): about
-# 0.13 ms a sample, so the cap is a run of about 13 s.  Past it `verify`
-# refuses before the build.
+# 0.12 ms a sample, so the cap is a run of about 12 s (11.9 s measured).
+# Past it `verify` refuses before the build.
 _MAX_SAMPLES = 10**5
 
 

@@ -32,18 +32,22 @@ a drop key (`singularity.drop_key`), one convex cone of fine types with one
 vertex: a few dozen keys stand for the thousands of types of |A| = 6.
 
 Most extensions that turn out empty repeat a contradiction a sibling already
-met.  When phase 1 proves a system empty, its final objective row holds
-Farkas multipliers, and the rows they weight form an empty system on their
-own.  Each subdivision keeps these cores in a store shared by all of its
-systems, and a later system that contains a whole core is answered empty
-without pivoting.  Z and each M^j are strict total orders, so a chain that
-has grown to p > q > r also implies the comparison p > r, which a sibling
-branch may have proved contradictory; every comparison a chain implies
-counts as contained (the learned explanations of Dutertre and de Moura's
-simplex-based solver).  Each system carries the set of its forms and the
-comparisons they imply, built from its parent's set by adding what the
-extension brings, so a tree node hashes only the forms it adds and a lookup
-is one subset test per candidate core.  A core is only ever a proof of
+met.  When phase 1 proves a system empty, its final dictionary holds Farkas
+certificates: the objective row, and often a row of a basic artificial, or
+the sum of two, that weights fewer forms.  The forms a certificate weights,
+its core, admit no point on their own.  The smallest core found is kept,
+since the smaller a core, the more later systems contain it (the smallest of
+all, the irreducible infeasible subsystems of Gleeson and Ryan, would take
+further solves to find).  Each subdivision keeps these cores in a store
+shared by all of its systems, and a later system that contains a whole core
+is answered empty without pivoting.  Z and each M^j are strict total orders,
+so a chain that has grown to p > q > r also implies the comparison p > r,
+which a sibling branch may have proved contradictory; every comparison a
+chain implies counts as contained (the learned explanations of Dutertre and
+de Moura's simplex-based solver).  Each system carries the set of its forms
+and the comparisons they imply, built from its parent's set by adding what
+the extension brings, so a tree node hashes only the forms it adds and a
+lookup is one subset test per candidate core.  A core is only ever a proof of
 emptiness, so the store changes no answer and no witness, only the time to
 reach it.
 
@@ -59,6 +63,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
+from itertools import combinations
 from math import gcd
 from operator import mul
 
@@ -185,17 +190,24 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
     The bound is nearly tight for zero forms, where H = 1 and the
     objective's right-hand side is m, so one bit less can overflow.
 
-    At the optimum the Farkas multiplier of row i is y_i = 1 while artificial
-    i is basic, y_i = -O[k] / det when surplus i sits in slot k, and 0 when
-    surplus i is basic; sum_i y_i l_i <= 0 coefficientwise and sum_i y_i > 0,
-    so the rows with y_i > 0 admit no point on their own.  An empty answer
-    records that core in the store `system.learned`, and a system whose
-    `present` set, its forms and the comparisons they imply, contains a
-    stored core is answered None before any dictionary is built.  Cores are
-    looked up only under the last form and the comparisons that came with
-    it (see `_stored_core_within`), one subset test each: systems grow by
-    appending to a feasible prefix, so only these can complete a core, and
-    a miss merely solves.
+    At the optimum the Farkas multiplier of row i is y_i = 1 while
+    artificial i is basic, y_i = -O[k] / det when surplus i sits in slot k,
+    and 0 when surplus i is basic; sum_i y_i l_i <= 0 coefficientwise and
+    sum_i y_i > 0, so the rows with y_i > 0 admit no point on their own.  Any
+    row R of the final dictionary that is a sum of rows of basic artificials
+    certifies emptiness the same way when its right-hand side is positive
+    and none of its slots is: y_i = 1 for each artificial row in the sum,
+    and y_j = -R[k] / det for the surplus j in slot k.  The empty answer
+    tries O, then each row of a basic artificial, then each sum of two, and
+    records the first smallest core (the forms with y > 0) in the store
+    `system.learned` under each of its forms.  A sum of two has entries at
+    most 2 H in absolute value, within the objective row's bound, so it
+    decodes in the same fields.  A system whose `present` set, its forms and
+    the comparisons they imply, contains a stored core is answered None
+    before any dictionary is built.  Cores are looked up only under the last
+    form and the comparisons that came with it (see `_stored_core_within`),
+    one subset test each: systems grow by appending to a feasible prefix, so
+    only these can complete a core, and a miss merely solves.
 
     The witness is a tuple of Fractions that also carries the simplex's
     integers, as `numerators` over `det`.
@@ -273,16 +285,31 @@ def _solve(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
         det = p
 
     if obj & mask:
-        # y_i > 0: artificial i still basic, or surplus i in a slot with O < 0
-        biased = obj + bias
-        weighted = {
-            cols[k] - n
-            for k in range(n)
-            if cols[k] >= n and biased >> shifts[k] & mask < half
-        }
-        core = frozenset(
-            forms[i] for i in range(m) if basis[i] == artificial + i or i in weighted
-        )
+        # proofs of emptiness in the final dictionary (see `feasible`):
+        # the objective row, then each row of a basic artificial and each sum
+        # of two; the first of the smallest cores is filed
+        basic = [i for i in range(m) if basis[i] == artificial + i]
+        surplus = [(shifts[k], forms[cols[k] - n]) for k in range(n) if cols[k] >= n]
+
+        def proof(packed, members):
+            # the core of `packed`, the sum of the rows `members`, or None
+            # unless its right-hand side is positive and none of its slots is
+            biased = packed + bias
+            if biased & mask <= half:
+                return None
+            if any(biased >> sh & mask > half for sh in shifts):
+                return None
+            negative = [form for sh, form in surplus if biased >> sh & mask < half]
+            return frozenset(forms[i] for i in members).union(negative)
+
+        core = proof(obj, basic)
+        for size in (1, 2):
+            for group in combinations(basic, size):
+                if len(core) <= size:
+                    break
+                found = proof(sum(rows[i] for i in group), group)
+                if found is not None and len(found) < len(core):
+                    core = found
         for form in core:
             system.learned.setdefault(form, []).append(core)
         return None
@@ -600,7 +627,7 @@ def enumerate_types(
     parallelism degree: the tasks run in sorted W order, the pool returns
     them in that order, and each tree tries every chain's elements in
     increasing order, so it emits its types sorted.  Raises SupportTooLarge
-    past the combinatorial cap.
+    past the combinatorial cap, and MorsekitError for `jobs` < 1.
     """
     return _enumerate(support, max_support_size, jobs, False)
 
@@ -620,6 +647,8 @@ def enumerate_keys(
 
 
 def _enumerate(support, max_support_size, jobs, keys):
+    if jobs is not None and jobs < 1:
+        raise MorsekitError(f"jobs must be >= 1, got {jobs}")
     if len(support) > max_support_size:
         raise SupportTooLarge(
             f"support of size {len(support)} exceeds the cap {max_support_size}"

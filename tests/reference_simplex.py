@@ -4,8 +4,9 @@ Where `morsekit.cones.feasible` pivots a dictionary over the nonbasic columns
 with one common denominator, this keeps every column (structural, surplus,
 right-hand side), each row over its own denominator, and reduces rows by
 their content once the denominators grow.  Both make the same Bland pivots,
-so they must return the same witness and record the same Farkas core; this
-one never looks a core up in the store.
+so they must return the same witness.  This one records the objective row's
+Farkas core, at least as large as the one `feasible` records, and never
+looks a core up in the store.
 """
 
 from fractions import Fraction

@@ -22,9 +22,10 @@ from morsekit import (
 )
 from morsekit import cones
 from morsekit.cones import _genericize, _pool_size
-from morsekit.errors import DegeneracyError, SlopeDegenerate
+from morsekit.errors import DegeneracyError, MorsekitError, SlopeDegenerate
 from morsekit.rationals import clear_denominators
 from morsekit.tropical import check_slopes, slope_groups
+from reference_simplex import reference_feasible
 
 
 # --- the feasibility engine ------------------------------------------------------
@@ -97,6 +98,25 @@ def test_empty_answer_records_its_farkas_core():
     assert feasible(system) is None
     core = frozenset({(1, -1), (-1, 1)})
     assert store == {(1, -1): [core], (-1, 1): [core]}
+    assert feasible(StrictSystem(2, tuple(core))) is None
+
+
+@pytest.mark.parametrize(
+    "forms,core",
+    [
+        # 2 x1 > 0, then -x1 > 0: the row of -x1's artificial alone
+        (((0, 2), (0, 1), (1, 0), (0, -1), (-1, -1)), {(0, 2), (0, -1)}),
+        # no pivot: the rows of -x0 + x1 and x0 - 2 x1 add up to -x1
+        (((0, 1), (-1, 1), (1, -2)), {(-1, 1), (1, -2)}),
+    ],
+)
+def test_empty_answer_files_a_smaller_core_than_the_objective_row(forms, core):
+    store, reference_store = {}, {}
+    assert feasible(StrictSystem(2, forms, store)) is None
+    assert reference_feasible(StrictSystem(2, forms, reference_store)) is None
+    # the objective row weights every form
+    assert reference_store == {form: [frozenset(forms)] for form in forms}
+    assert store == {form: [frozenset(core)] for form in core}
     assert feasible(StrictSystem(2, tuple(core))) is None
 
 
@@ -302,10 +322,12 @@ def test_tree_leaves_carry_the_cone_constraints(monkeypatch, points):
 @pytest.mark.parametrize(
     "points,solved",
     [
-        ([1, 2, 3, 4], 24),
-        ([2, 3, 4, 6], 25),
-        ([-3, -1, 1, 2, 4], 379),
-        ([1, 2, 3, 4, 5], 290),
+        ([1, 2, 3, 4], 22),
+        ([2, 3, 4, 6], 23),
+        ([-3, -1, 1, 2, 4], 310),
+        ([1, 2, 3, 4, 5], 248),
+        pytest.param([1, 2, 3, 4, 5, 6], 4775, marks=pytest.mark.slow),
+        pytest.param([-3, -1, 1, 2, 4, 5], 6996, marks=pytest.mark.slow),
     ],
     ids=lambda arg: ",".join(map(str, arg)) if isinstance(arg, list) else None,
 )
@@ -522,3 +544,13 @@ def test_support_size_cap():
         enumerate_types(support)
     with pytest.raises(SupportTooLarge):
         enumerate_types(support, max_support_size=7)
+
+
+# the library refuses what the CLI refuses, rather than running serially
+@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize(
+    "build", [enumerate_types, cones.enumerate_keys, build_polytope]
+)
+def test_jobs_below_one_is_refused(build, jobs):
+    with pytest.raises(MorsekitError, match=f"^jobs must be >= 1, got {jobs}$"):
+        build(validate_support([1, 2, 3, 4]), jobs=jobs)

@@ -105,10 +105,20 @@ def _check_against_the_reference(nvars, forms):
     with time_limit(EXAMPLE_SECONDS):
         answer = feasible(StrictSystem(nvars, forms, store))
         expected = reference_feasible(StrictSystem(nvars, forms, reference_store))
-    # the same Bland pivots: the same witness and the same Farkas core
+    # the same Bland pivots: the same witness
     assert answer == expected
     assert answer is None or all(type(x) is Fraction for x in answer)
-    assert store == reference_store
+    # an empty answer files one core under each of its forms: a subset of
+    # the forms, empty on its own, and no larger than the objective row's
+    cores = {core for filed in store.values() for core in filed}
+    reference_cores = {core for filed in reference_store.values() for core in filed}
+    assert len(cores) == len(reference_cores) == (answer is None)
+    assert set(store) == {form for core in cores for form in core}
+    for core, reference_core in zip(cores, reference_cores):
+        assert all(core in store[form] for form in core)
+        assert core <= set(forms)
+        assert reference_feasible(StrictSystem(nvars, tuple(core))) is None
+        assert len(core) <= len(reference_core)
     return answer
 
 
