@@ -67,18 +67,12 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
-def _jobs(args) -> int:
-    if args.jobs < 1:
-        raise MorsekitError(f"--jobs must be >= 1, got {args.jobs}")
-    return args.jobs
-
-
 def _polytope(args, support, keys=False):
     return build_polytope(
         support,
         parse_shift(args.shift, support),
         max_support_size=args.max_support_size,
-        jobs=_jobs(args),
+        jobs=args.jobs,
         keys=keys,
     )
 
@@ -208,7 +202,7 @@ def cmd_fiber(args) -> int:
 def cmd_enumerate(args) -> int:
     support, _ = _load_input(args.input)
     types = enumerate_types(
-        support, max_support_size=args.max_support_size, jobs=_jobs(args)
+        support, max_support_size=args.max_support_size, jobs=args.jobs
     )
     # the number of forms depends on W alone: one cone system per subdivision
     constraints = {}

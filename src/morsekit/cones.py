@@ -4,7 +4,9 @@ A combinatorial type (W, Z, M) is realizable iff the open cone cut out by
 its defining strict inequalities meets the nonnegative orthant.  Feasibility
 of a homogeneous strict system {l_i(g) > 0, g >= 0} is equivalent to
 feasibility of {l_i(g) >= 1, g >= 0}, which a small phase-1 simplex over
-exact integers decides; the phase-1 solution doubles as an interior witness.
+exact integers decides; the phase-1 solution doubles as an interior witness,
+kept as the final dictionary holds it, integer numerators over one positive
+denominator.
 The simplex keeps a dictionary over the n nonbasic columns only, every entry
 over one common denominator, and pivots by exact integer division (Bareiss;
 Avis's lrs), so a pivot costs O(m n) however many rows have been pivoted.
@@ -52,9 +54,10 @@ emptiness, so the store changes no answer and no witness, only the time to
 reach it.
 
 A leaf's witness is nudged off the slope-tie walls by small shifts.  One
-`extract` of each candidate, a Covector of its cleared denominators, finds
-the ties, through its slope check, and confirms the type of the first
-tie-free candidate, in integers.
+`extract` of each candidate, a Covector of its numerators, finds the ties,
+through its slope check, and confirms the type of the first tie-free
+candidate, in integers; only that candidate is turned into Fractions, the
+leaf's printed witness.
 """
 
 from __future__ import annotations
@@ -117,11 +120,10 @@ class StrictSystem:
         )
 
     def holds_strictly(self, point) -> bool:
-        # a positive scaling of the point keeps every sign
-        scaled = clear_denominators(point)
-        return all(
-            sum(c * x for c, x in zip(form, scaled)) > 0 for form in self.forms
-        ) and all(x >= 0 for x in scaled)
+        # exact on ints and Fractions alike; the tree passes only ints
+        return all(sum(map(mul, form, point)) > 0 for form in self.forms) and all(
+            x >= 0 for x in point
+        )
 
 
 def _check_lengths(forms, nvars: int) -> None:
@@ -133,23 +135,8 @@ def _check_lengths(forms, nvars: int) -> None:
 # --- exact phase-1 simplex ------------------------------------------------------
 
 
-class _Witness(tuple):
-    """A witness's coordinates as Fractions, with the integers behind them.
-
-    `numerators` over the one denominator `det` > 0 are the simplex's own
-    values, so `_extend` tests new forms on them without clearing the
-    Fractions' denominators again.
-    """
-
-    def __new__(cls, numerators: tuple[int, ...], det: int):
-        self = super().__new__(cls, (Fraction(x, det) for x in numerators))
-        self.numerators = numerators
-        self.det = det
-        return self
-
-
-def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
-    """Interior witness of the open cone, or None if it is empty.
+def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
+    """Interior witness of the open cone, as (numerators, det), or None if empty.
 
     Solves {l_i(g) >= 1, g >= 0} by a phase-1 simplex with Bland's rule that
     minimizes the sum of the artificials.  Variables: structural 0..n-1,
@@ -209,15 +196,13 @@ def feasible(system: StrictSystem) -> tuple[Fraction, ...] | None:
     one subset test each: systems grow by appending to a feasible prefix, so
     only these can complete a core, and a miss merely solves.
 
-    The witness is a tuple of Fractions that also carries the simplex's
-    integers, as `numerators` over `det`.
+    The witness is the final dictionary's own values: the structural
+    variables' right-hand sides as integer `numerators` over the one
+    denominator `det` > 0, so the point is numerators[i] / det.  No Fraction
+    is built, since the tree tests new forms on the numerators alone
+    (`_extend`); `det` stays because the eps-shifts of `_candidates` are
+    taken over it, and `_genericize` prints a leaf's witness over it.
     """
-    solved = _solve(system)
-    return None if solved is None else _Witness(*solved)
-
-
-def _solve(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
-    """The simplex of `feasible`: the witness as numerators over det, or None."""
     n = system.nvars
     forms = system.forms
     if not forms:
@@ -443,7 +428,7 @@ def _chains(support: SupportSet, w: tuple[int, ...]):
 def _genericize(
     support: SupportSet,
     system: StrictSystem,
-    witness: _Witness,
+    witness: tuple[tuple[int, ...], int],
     ctype: CombinatorialType,
 ) -> Covector:
     """Nudge a feasibility witness off the measure-zero slope-tie walls.
@@ -454,7 +439,7 @@ def _genericize(
     positions.  The candidates are the witness, then the shifts for
     eps = 2^-4, 2^-6, ... that satisfy the system strictly (see
     `_exponents` for where the ladder ends).  Each is extracted as a
-    Covector of its cleared denominators, which stay ints, so in integers.
+    Covector of its numerators, which are ints, so in integers.
     Inside the open cone the strict hull, Z and M forms exclude every other
     wall, so `extract` can only raise SlopeDegenerate, and the first
     candidate it accepts is a covector of `ctype` (a positive scaling keeps
@@ -474,14 +459,16 @@ def _genericize(
     raise MorsekitError("could not move a cone's witness off the slope ties")
 
 
-def _candidates(system: StrictSystem, witness: _Witness, span: int):
+def _candidates(
+    system: StrictSystem, witness: tuple[tuple[int, ...], int], span: int
+):
     """The witness, then its eps-shifts that satisfy the system strictly.
 
     Each comes as integers over one denominator: the shift by eps = 2^-e is
     the witness's numerators times 2^(e n), plus det 2^(e (n - 1 - i)) at
     coordinate i, over det 2^(e n).  See `_exponents` for the e tried.
     """
-    numerators, det = witness.numerators, witness.det
+    numerators, det = witness
     yield numerators, det
     n = len(numerators)
     for exponent in _exponents(system, det, span):
@@ -518,12 +505,12 @@ def _extend(
     """Add forms to a feasible (system, witness) pair, re-solving lazily.
 
     witness comes from `feasible`; the parent witness usually satisfies the
-    new form already, which its integer numerators show, so the exact
+    new form already, which its numerators show, so the exact
     simplex runs only when it does not.  `implied` are the comparisons the
     new forms imply with the old ones (see `StrictSystem.present`).
     """
     child = system.extended(extra, implied)
-    numerators = witness.numerators
+    numerators, _ = witness
     if all(sum(map(mul, form, numerators)) > 0 for form in extra):
         return child, witness
     return child, feasible(child)
@@ -606,7 +593,7 @@ def _pool_size(jobs: int | None, tasks: int) -> int:
     The pool forks every worker up front, so an unclamped request would
     start that many processes whatever the work.
     """
-    return max(1, min(jobs or 1, os.cpu_count() or 1, tasks))
+    return min(jobs or 1, os.cpu_count() or 1, tasks)
 
 
 MAX_SUPPORT_SIZE = 7

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import DegeneracyError, NonIntegerCovector, NotMorse
 from .rationals import rational_to_json
 from .support_function import ShiftConfig, mu_coeffs, mu_value
-from .tropical import CombinatorialType, Covector, SupportSet, extract
+from .tropical import CombinatorialType, Covector, SupportSet, check_support, extract
 
 
 def _edge_areas(gamma: Covector, w: list[int]) -> list[int | Fraction]:
@@ -32,6 +32,7 @@ def newton_polygon_vertices(
     points (a_0, 0) and (a_max, 0); consecutive duplicates (when an endpoint
     value is 0) are merged.
     """
+    check_support(support, gamma)
     cycle = [(support.low, 0), (support.high, 0)]
     cycle += [(p, gamma(p)) for p in reversed(gamma.hull_vertices())]
     return [pt for i, pt in enumerate(cycle) if pt != cycle[(i + 1) % len(cycle)]]
@@ -48,6 +49,7 @@ def area_newton(support: SupportSet, gamma: Covector) -> int | Fraction:
 
 def area_newton_formula(support: SupportSet, gamma: Covector) -> int | Fraction:
     """Same area through the edge sums: sum S_j + w_k g(w_k) - w_0 g(w_0)."""
+    check_support(support, gamma)
     w = gamma.hull_vertices()
     return sum(_edge_areas(gamma, w)) + w[-1] * gamma(w[-1]) - w[0] * gamma(w[0])
 
@@ -74,15 +76,18 @@ class FiberPolygon:
     def total_height(self) -> int:
         return sum(self.heights)
 
-    def vertices(self) -> list[tuple[Fraction, Fraction]]:
-        """Counterclockwise boundary cycle, duplicates merged."""
-        pts: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
+    def levels(self):
+        """(width, y) of each base, bottom to top: the one walk of the stack."""
         y = Fraction(0)
-        pts.append((self.bases[0], y))
+        yield self.bases[0], y
         for base, h in zip(self.bases[1:], self.heights):
             y += h
-            pts.append((base, y))
-        pts.append((Fraction(0), y))
+            yield base, y
+
+    def vertices(self) -> list[tuple[Fraction, Fraction]]:
+        """Counterclockwise boundary cycle, duplicates merged."""
+        pts = [(Fraction(0), Fraction(0)), *self.levels()]
+        pts.append((Fraction(0), pts[-1][1]))
         return [pt for i, pt in enumerate(pts) if pt != pts[(i + 1) % len(pts)]]
 
     def area(self) -> int | Fraction:
@@ -120,6 +125,7 @@ def trapezoid_stack(
     support: SupportSet, gamma: Covector, ctype: CombinatorialType, base: int | Fraction
 ) -> FiberPolygon:
     """`fiber_polygon` read off a type and its Newton area `base`, computed once."""
+    check_support(support, gamma)
     w = list(ctype.w)
     s = _edge_areas(gamma, w)
     d = [w[i + 1] - w[i] for i in range(len(w) - 1)]
@@ -148,6 +154,7 @@ def vol_fiber_closed(
     plus the endpoint terms (|w_0|-w_0)(w_k-w_0) g(w_0) and
     (w_k+|w_k|)(w_k-w_0) g(w_k).
     """
+    check_support(support, gamma)
     if ctype is None:
         ctype = _extract_or_not_morse(support, gamma)
     w = ctype.w
@@ -203,6 +210,7 @@ def strata_counts(
     2*n_2a1 + n_a2 = mu(gamma) under the given shift
     chi_a1 = -Area(N) - 2*n_2a1 - 2*n_a2
     """
+    check_support(support, gamma)
     if not gamma.is_integral():
         raise NonIntegerCovector("strata counts are defined for integer covectors")
     if ctype is None:

@@ -157,14 +157,9 @@ def render_svg(polygon) -> str:
     drawing's extent in pixels is past the float range.
     """
     bases = None
-    if hasattr(polygon, "vertices") and hasattr(polygon, "bases"):
-        fp = polygon
-        pts = fp.vertices()
-        y = Fraction(0)
-        bases = [(Fraction(0), fp.bases[0], y)]
-        for width, h in zip(fp.bases[1:], fp.heights):
-            y += h
-            bases.append((Fraction(0), width, y))
+    if hasattr(polygon, "levels"):  # a FiberPolygon
+        pts = polygon.vertices()
+        bases = list(polygon.levels())
     else:
         pts = [tuple(map(Fraction, p)) for p in polygon]
 
@@ -205,10 +200,10 @@ def render_svg(polygon) -> str:
             f'stroke="#1f4e8c" stroke-width="1.5"/>'
         )
     if bases is not None:
-        for xa, xb, y in bases:
+        for width, y in bases:
             lines.append(
-                f'<line class="base" x1="{tx(xa)}" y1="{ty(y)}" '
-                f'x2="{tx(xb)}" y2="{ty(y)}" stroke="#c34043" stroke-width="1.2"/>'
+                f'<line class="base" x1="{tx(0)}" y1="{ty(y)}" '
+                f'x2="{tx(width)}" y2="{ty(y)}" stroke="#c34043" stroke-width="1.2"/>'
             )
     for x, y in pts:
         lines.append(

@@ -24,7 +24,7 @@ from math import gcd
 
 from .errors import NonIntegerCovector
 from .rationals import common_denominator
-from .tropical import CombinatorialType, Covector, SupportSet
+from .tropical import CombinatorialType, Covector, SupportSet, check_support
 
 
 def gcd_ladder(w: tuple[int, ...], j: int, m_j: tuple[int, ...]) -> tuple[int, ...]:
@@ -84,6 +84,7 @@ def c_value(
 
     An int on a covector of ints, otherwise a Fraction, as `Covector.dot`.
     """
+    check_support(support, gamma)
     return gamma.dot(c_coeffs(support, ctype, j))
 
 
@@ -158,6 +159,7 @@ def level_scan(
     difference of A, so it is 1, and the scan returns before any level that
     only a base point would hold.
     """
+    check_support(support, gamma)
     if not gamma.is_integral():
         raise NonIntegerCovector(
             "integer covector required; scale by the lcm of denominators"

@@ -203,6 +203,19 @@ def _exact(v) -> int | Fraction:
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
+def check_support(support: SupportSet, gamma: Covector) -> None:
+    """Raise CovectorError unless `gamma` was built on `support`.
+
+    Each kernel that reads a support next to a covector calls this first;
+    the usual caller passes the covector's own support, which costs one `is`.
+    """
+    if gamma.support is not support and gamma.support != support:
+        raise CovectorError(
+            f"covector on {list(gamma.support.points)} given with support "
+            f"{list(support.points)}"
+        )
+
+
 def covector_from_values(support: SupportSet, values) -> Covector:
     """Build a covector from a sequence aligned with the sorted support."""
     return Covector(support, tuple(parse_rational(v) for v in values))
@@ -264,6 +277,7 @@ def upper_hull(support: SupportSet, gamma: Covector) -> list[int]:
     DegenerateHull when a non-vertex p over edge (u, v) has g(p)(v - u) ==
     g(u)(v - p) + g(v)(p - u).  The base points (a_0, 0), (a_max, 0) of the
     Newton polygon cannot displace hull membership for nonnegative gamma."""
+    check_support(support, gamma)
     w = gamma.hull_vertices()
     hull = [(p, gamma(p)) for p in w]
     edges = zip(hull, hull[1:])
@@ -295,6 +309,7 @@ def roots_and_values(
     value is w_j * r_j + gamma(w_j), as Fractions from `_root_table`.  Roots
     come out strictly increasing.
     """
+    check_support(support, gamma)
     scale, rises, values = _root_table(gamma, w)
     return [(Fraction(r, scale), Fraction(phi, scale)) for r, phi in zip(rises, values)]
 
@@ -352,6 +367,7 @@ def check_slopes(support: SupportSet, gamma: Covector) -> None:
     more than one, which is the first tie a scan over all pairs of pairs in
     lexicographic order would meet.
     """
+    check_support(support, gamma)
     for pairs in slope_groups(support.points, gamma.values):
         if len(pairs) > 1:
             raise SlopeDegenerate(pairs[0], pairs[1])
@@ -452,6 +468,7 @@ def classify_from_roots(
 ) -> Classification:
     """`classify`, given the hull vertices w and `roots_and_values` on them,
     for a caller that prints the roots and values too."""
+    check_support(support, gamma)
     maxwell = _first_equal_pair([phi for _, phi in rv])
     groups = slope_groups(support.points, gamma.values)
     group_of = {pair: pairs for pairs in groups for pair in pairs}

@@ -29,6 +29,14 @@ def deg4_gamma(deg4_support):
     return covector_from_values(deg4_support, [1, 4, 3, 3])
 
 
+def as_fractions(witness):
+    """`feasible`'s (numerators, det) as the point's Fractions; None stays None."""
+    if witness is None:
+        return None
+    numerators, det = witness
+    return tuple(Fraction(x, det) for x in numerators)
+
+
 def dot(coeffs, values) -> Fraction:
     return sum((Fraction(c) * v for c, v in zip(coeffs, values)), start=Fraction(0))
 

@@ -229,6 +229,10 @@ def test_fiber_svg(capsys):
     code, out, _ = run(capsys, "fiber", MIXED, "--format", "svg")
     assert code == 0
     assert out.count('class="base"') == 4
+    # the README covector's drawing, byte for byte: outline and bases
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "81ec39b8b65f546196b82805ef2bf4d5dddb4334564ccb58e33b88a797ae691b"
+    )
 
 
 def test_fiber_json_and_text(capsys):
@@ -425,7 +429,7 @@ def test_jobs_below_one_exit_one(capsys, monkeypatch, flag, env):
     if env is not None:
         monkeypatch.setenv("MORSEKIT_JOBS", env)
     code, out, err = run(capsys, "enumerate", '{"A": [1,2,3,4]}', "--jobs", flag)
-    assert code == 1 and out == "" and f"--jobs must be >= 1, got {flag}" in err
+    assert code == 1 and out == "" and err == f"error: jobs must be >= 1, got {flag}\n"
 
 
 def test_jobs_env_is_ignored(capsys, monkeypatch):

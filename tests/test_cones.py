@@ -25,6 +25,7 @@ from morsekit.cones import _genericize, _pool_size
 from morsekit.errors import DegeneracyError, MorsekitError, SlopeDegenerate
 from morsekit.rationals import clear_denominators
 from morsekit.tropical import check_slopes, slope_groups
+from conftest import as_fractions
 from reference_simplex import reference_feasible
 
 
@@ -33,7 +34,7 @@ from reference_simplex import reference_feasible
 
 def test_feasible_simple_system():
     # x0 >= 1 and x0 + x1 >= 1 with x >= 0
-    witness = feasible(StrictSystem(2, ((1, 0), (1, 1))))
+    witness = as_fractions(feasible(StrictSystem(2, ((1, 0), (1, 1)))))
     assert witness is not None
     assert witness[0] > 0 and all(v >= 0 for v in witness)
 
@@ -48,12 +49,12 @@ def test_infeasible_opposite_forms():
 
 
 def test_empty_system_gives_all_ones():
-    assert feasible(StrictSystem(4)) == (1, 1, 1, 1)
+    assert feasible(StrictSystem(4)) == ((1, 1, 1, 1), 1)
 
 
 def test_feasible_accepts_rational_forms():
-    witness = feasible(
-        StrictSystem(2, ((Fraction(1, 3), Fraction(-1, 6)), (0, 1)))
+    witness = as_fractions(
+        feasible(StrictSystem(2, ((Fraction(1, 3), Fraction(-1, 6)), (0, 1))))
     )
     assert witness is not None
     assert 2 * witness[0] - witness[1] > 0 and witness[1] > 0
@@ -70,7 +71,10 @@ def test_witness_satisfies_all_forms_strictly():
         system = StrictSystem(nvars, forms)
         witness = feasible(system)
         if witness is not None:
-            assert system.holds_strictly(witness)
+            # integers over a positive denominator, read either way
+            numerators, det = witness
+            assert det > 0 and system.holds_strictly(numerators)
+            assert system.holds_strictly(as_fractions(witness))
 
 
 def test_infeasibility_certified_by_sampling():
@@ -227,7 +231,7 @@ def test_form_longer_than_nvars_is_refused():
     with pytest.raises(ValueError):
         StrictSystem(2, ((1, 0),)).extended([(1, 2, 3)])
     # a shorter form is padded with zeros
-    assert feasible(StrictSystem(3, ((1,), (-1, 2)))) == (1, 1, 0)
+    assert as_fractions(feasible(StrictSystem(3, ((1,), (-1, 2))))) == (1, 1, 0)
 
 
 def test_holds_strictly_under_large_denominators():
@@ -293,7 +297,7 @@ def test_cone_constraints_witnesses_pinned(points, count, sha256):
     assert len(systems) == count
     assert all(system.learned == {} for system in systems)
     assert len({id(system.learned) for system in systems}) == count
-    witnesses = [feasible(system) for system in systems]
+    witnesses = [as_fractions(feasible(system)) for system in systems]
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == sha256
 
 
@@ -322,14 +326,18 @@ def test_tree_leaves_carry_the_cone_constraints(monkeypatch, points):
 @pytest.mark.parametrize(
     "points,solved",
     [
-        ([1, 2, 3, 4], 22),
-        ([2, 3, 4, 6], 23),
-        ([-3, -1, 1, 2, 4], 310),
-        ([1, 2, 3, 4, 5], 248),
-        pytest.param([1, 2, 3, 4, 5, 6], 4775, marks=pytest.mark.slow),
-        pytest.param([-3, -1, 1, 2, 4, 5], 6996, marks=pytest.mark.slow),
+        # ids of the points alone: a re-pinned count fails a case, not renames it
+        pytest.param([1, 2, 3, 4], 22, id="1,2,3,4"),
+        pytest.param([2, 3, 4, 6], 23, id="2,3,4,6"),
+        pytest.param([-3, -1, 1, 2, 4], 310, id="-3,-1,1,2,4"),
+        pytest.param([1, 2, 3, 4, 5], 248, id="1,2,3,4,5"),
+        pytest.param(
+            [1, 2, 3, 4, 5, 6], 4775, marks=pytest.mark.slow, id="1,2,3,4,5,6"
+        ),
+        pytest.param(
+            [-3, -1, 1, 2, 4, 5], 6996, marks=pytest.mark.slow, id="-3,-1,1,2,4,5"
+        ),
     ],
-    ids=lambda arg: ",".join(map(str, arg)) if isinstance(arg, list) else None,
 )
 def test_tree_answers_match_storeless_solves(monkeypatch, points, solved):
     # every answer the tree gets, from the store or from pivoting, is the
@@ -397,7 +405,7 @@ def test_genericize_moves_a_tied_witness_into_its_cone(deg4_support):
     system = cone_constraints(deg4_support, ctype)
     witness = feasible(system)
     # the simplex corner ties two slopes; the returned covector does not
-    assert _check_slopes_ties(deg4_support, witness)
+    assert _check_slopes_ties(deg4_support, as_fractions(witness))
     gamma = _genericize(deg4_support, system, witness, ctype)
     assert extract(deg4_support, gamma) == ctype
     assert system.holds_strictly(gamma.values)

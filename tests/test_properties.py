@@ -55,7 +55,7 @@ from morsekit.rationals import (  # noqa: E402
 )
 from morsekit.tropical import check_slopes, slope_groups  # noqa: E402
 from morsekit.verify import SAMPLE_BOUND, PackedHeights  # noqa: E402
-from conftest import time_limit  # noqa: E402
+from conftest import as_fractions, time_limit  # noqa: E402
 from reference_extract import (  # noqa: E402
     reference_extract,
     reference_roots_and_values,
@@ -103,11 +103,14 @@ def wide_systems(draw):
 def _check_against_the_reference(nvars, forms):
     store, reference_store = {}, {}
     with time_limit(EXAMPLE_SECONDS):
-        answer = feasible(StrictSystem(nvars, forms, store))
+        solved = feasible(StrictSystem(nvars, forms, store))
         expected = reference_feasible(StrictSystem(nvars, forms, reference_store))
-    # the same Bland pivots: the same witness
+    # the same Bland pivots: the same witness, as integers over one positive int
+    answer = as_fractions(solved)
     assert answer == expected
-    assert answer is None or all(type(x) is Fraction for x in answer)
+    if solved is not None:
+        numerators, det = solved
+        assert all(type(x) is int for x in (*numerators, det)) and det > 0
     # an empty answer files one core under each of its forms: a subset of
     # the forms, empty on its own, and no larger than the objective row's
     cores = {core for filed in store.values() for core in filed}

@@ -26,7 +26,8 @@ from morsekit import (
     upper_hull,
     validate_support,
 )
-from morsekit import tropical
+import morsekit as mk
+from morsekit import fiber, tropical
 from morsekit.errors import CovectorError, MalformedInput
 from morsekit.tropical import _chain, check_slopes
 
@@ -458,3 +459,48 @@ def test_parse_input_rejects_bad_shapes():
         parse_input_json(["not", "an", "object"])
     with pytest.raises(MalformedInput):
         parse_input_json({"A": [1, 2, 4], "gamma": "nope"})
+
+
+# every kernel that reads a support next to a covector, called with the
+# covector's own type where it takes one
+OTHER_SUPPORT_KERNELS = {
+    "upper_hull": lambda A, g, t: mk.upper_hull(A, g),
+    "check_slopes": lambda A, g, t: check_slopes(A, g),
+    "extract": lambda A, g, t: mk.extract(A, g),
+    "roots_and_values": lambda A, g, t: mk.roots_and_values(A, g, list(t.w)),
+    "classify": lambda A, g, t: mk.classify(A, g),
+    "classify_from_roots": lambda A, g, t: tropical.classify_from_roots(
+        A, g, list(t.w), mk.roots_and_values(g.support, g, list(t.w))
+    ),
+    "mu_value": lambda A, g, t: mk.mu_value(A, g),
+    "newton_polygon_vertices": lambda A, g, t: mk.newton_polygon_vertices(A, g),
+    "area_newton": lambda A, g, t: mk.area_newton(A, g),
+    "area_newton_formula": lambda A, g, t: mk.area_newton_formula(A, g),
+    "fiber_polygon": lambda A, g, t: mk.fiber_polygon(A, g),
+    "fiber_polygon with a type": lambda A, g, t: mk.fiber_polygon(A, g, t),
+    "trapezoid_stack": lambda A, g, t: fiber.trapezoid_stack(
+        A, g, t, mk.area_newton(g.support, g)
+    ),
+    "vol_fiber_closed": lambda A, g, t: mk.vol_fiber_closed(A, g),
+    "vol_fiber_closed with a type": lambda A, g, t: mk.vol_fiber_closed(A, g, t),
+    "strata_counts": lambda A, g, t: mk.strata_counts(A, g),
+    "strata_counts with a type": lambda A, g, t: mk.strata_counts(A, g, ctype=t),
+    "c_value": lambda A, g, t: mk.c_value(A, g, t, 0),
+    "level_scan": lambda A, g, t: mk.level_scan(A, g, t, 0),
+    "facet_functional": lambda A, g, t: mk.facet_functional(A, g, t, 0),
+    "c_value_via_levels": lambda A, g, t: mk.c_value_via_levels(A, g, t, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "kernel", OTHER_SUPPORT_KERNELS.values(), ids=OTHER_SUPPORT_KERNELS
+)
+def test_kernels_refuse_a_covector_of_another_support(mixed_support, kernel):
+    # a Morse covector on [1..5], given with the support [-3, -1, 1, 2, 4]
+    own = validate_support([1, 2, 3, 4, 5])
+    gamma = covector_from_values(own, [7, 31, 48, 28, 30])
+    ctype = extract(own, gamma)
+    with pytest.raises(CovectorError, match=r"covector on \[1, 2, 3, 4, 5\]"):
+        kernel(mixed_support, gamma, ctype)
+    # an equal support built anew is the same support
+    kernel(validate_support([1, 2, 3, 4, 5]), gamma, ctype)
