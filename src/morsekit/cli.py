@@ -22,7 +22,6 @@ from .polytope import build_polytope, project_and_hull, render_svg
 from .rationals import rational_to_json
 from .singularity import (
     c_coeffs,
-    c_value,
     c_value_via_levels,
     gcd_ladder,
     level_scan,
@@ -67,12 +66,12 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
-def _polytope(args, support, keys=False):
+def _polytope(args, support, keys=False, jobs=None):
     return build_polytope(
         support,
         parse_shift(args.shift, support),
         max_support_size=args.max_support_size,
-        jobs=args.jobs,
+        jobs=jobs,
         keys=keys,
     )
 
@@ -147,7 +146,7 @@ def cmd_cj(args) -> int:
     entries = 0
     for j in range(ctype.k):
         coeffs = c_coeffs(support, ctype, j)
-        value = c_value(support, gamma, ctype, j)
+        value = gamma.dot(coeffs)
         entry = {
             "j": j,
             "coeffs": list(coeffs),
@@ -230,8 +229,9 @@ def cmd_enumerate(args) -> int:
 
 def cmd_polytope(args) -> int:
     support, _ = _load_input(args.input)
-    poly = _polytope(args, support, keys=args.format == "svg")  # svg reads no cones
-    if args.format == "svg":
+    svg = args.format == "svg"  # reads no cones: a key build, in one process
+    poly = _polytope(args, support, keys=svg, jobs=args.jobs)
+    if svg:
         sys.stdout.write(render_svg(project_and_hull(poly, _axes(args))))
         return 0
     payload = poly.to_json()
@@ -324,7 +324,9 @@ _OPTIONS = {
     "--axes": dict(default=None, help="projection axes 'i,j'"),
     "--samples": dict(type=int, default=200),
     "--seed": dict(type=int, default=0),
-    "--jobs": dict(type=int, default=1, help="parallel workers, at most the CPU count"),
+    "--jobs": dict(
+        type=int, default=1, help="fine-tree workers: enumerate, polytope json|text"
+    ),
     "--max-support-size": dict(type=int, default=MAX_SUPPORT_SIZE),
 }
 
@@ -348,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
          ("--shift", "--axes", *pool)),
         ("strata", "multisingularity stratum counts", text, ("--shift",)),
         ("verify", "seeded property suite", text,
-         ("--shift", "--samples", "--seed", *pool)),
+         ("--shift", "--samples", "--seed", "--max-support-size")),
         ("plot", "SVG of the projected polytope or fiber polygon", (),
-         ("--shift", "--axes", *pool)),
+         ("--shift", "--axes", "--max-support-size")),
     )
     for name, help_text, formats, flags in commands:
         p = sub.add_parser(name, help=help_text)

@@ -22,7 +22,7 @@ The search is a backtracking tree per subdivision W: hull constraints first
 order Z and one monomial order M^j per root.  Every chain grows one element
 at a time with a feasibility test per extension, and `cone_constraints`
 reads its forms off the same chain definitions.  The subdivisions are
-independent tasks, mapped in order or over a process pool.
+independent tasks.
 
 `enumerate_types` grows every chain by the fine rule, one new comparison
 per element, so its leaves are the paper's types (W, Z, M).  The vertex
@@ -32,6 +32,9 @@ grows each M^j by the drop rule: pick a live element beating every other
 live one, replace b by its gcd with it, stop when none is live.  A leaf is
 a drop key (`singularity.drop_key`), one convex cone of fine types with one
 vertex: a few dozen keys stand for the thousands of types of |A| = 6.
+Only the fine tree fans out: `jobs` > 1 maps the subdivisions of
+`enumerate_types` over a process pool; `enumerate_keys` maps them in order,
+since up to the default cap two workers slow the key tree (README, Scale).
 
 Most extensions that turn out empty repeat a contradiction a sibling already
 met.  When phase 1 proves a system empty, its final dictionary holds Farkas
@@ -578,7 +581,13 @@ def _subdivision_types(
     return found
 
 
-def _all_subdivisions(support: SupportSet) -> list[tuple[int, ...]]:
+def _all_subdivisions(
+    support: SupportSet, max_support_size: int
+) -> list[tuple[int, ...]]:
+    if len(support) > max_support_size:
+        raise SupportTooLarge(
+            f"support of size {len(support)} exceeds the cap {max_support_size}"
+        )
     interior = support.points[1:-1]
     subs = []
     for mask in range(2 ** len(interior)):
@@ -616,32 +625,10 @@ def enumerate_types(
     increasing order, so it emits its types sorted.  Raises SupportTooLarge
     past the combinatorial cap, and MorsekitError for `jobs` < 1.
     """
-    return _enumerate(support, max_support_size, jobs, False)
-
-
-def enumerate_keys(
-    support: SupportSet,
-    *,
-    max_support_size: int = MAX_SUPPORT_SIZE,
-    jobs: int | None = None,
-) -> list[tuple[CombinatorialType, Covector]]:
-    """Every realizable drop key, with an interior witness each.
-
-    As `enumerate_types`, with each M^j grown by the drop rule: a leaf is the
-    drop key of the fine types in one convex cone, which share one vertex.
-    """
-    return _enumerate(support, max_support_size, jobs, True)
-
-
-def _enumerate(support, max_support_size, jobs, keys):
     if jobs is not None and jobs < 1:
         raise MorsekitError(f"jobs must be >= 1, got {jobs}")
-    if len(support) > max_support_size:
-        raise SupportTooLarge(
-            f"support of size {len(support)} exceeds the cap {max_support_size}"
-        )
-    subdivisions = _all_subdivisions(support)
-    task = partial(_subdivision_types, support, keys)
+    subdivisions = _all_subdivisions(support, max_support_size)
+    task = partial(_subdivision_types, support, False)
     workers = _pool_size(jobs, len(subdivisions))
     if workers > 1:
         # imported here so that importing the package does not load
@@ -653,3 +640,21 @@ def _enumerate(support, max_support_size, jobs, keys):
     else:
         chunks = map(task, subdivisions)
     return [item for chunk in chunks for item in chunk]
+
+
+def enumerate_keys(
+    support: SupportSet,
+    *,
+    max_support_size: int = MAX_SUPPORT_SIZE,
+) -> list[tuple[CombinatorialType, Covector]]:
+    """Every realizable drop key, with an interior witness each.
+
+    As `enumerate_types`, with each M^j grown by the drop rule: a leaf is the
+    drop key of the fine types in one convex cone, which share one vertex.
+    The subdivisions are mapped in order, in this process.
+    """
+    return [
+        item
+        for w in _all_subdivisions(support, max_support_size)
+        for item in _subdivision_types(support, True, w)
+    ]

@@ -64,9 +64,6 @@ class SupportSet:
     def __iter__(self):
         return iter(self.points)
 
-    def index(self, p: int) -> int:
-        return self._position[p]
-
     def form(self, terms) -> tuple[int, ...]:
         """Integer linear form on the support from (exponent, coefficient) terms.
 
@@ -141,7 +138,7 @@ class Covector:
         object.__setattr__(self, "values", values)
 
     def __call__(self, p: int) -> int | Fraction:
-        return self.values[self.support.index(p)]
+        return self.values[self.support._position[p]]
 
     @cached_property
     def _cleared(self) -> tuple[tuple[int, ...], int, bool]:

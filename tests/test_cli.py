@@ -535,6 +535,33 @@ def test_drawings_build_from_drop_keys(capsys, monkeypatch):
             main(["polytope", support, "--format", fmt])
 
 
+def test_key_builds_start_no_process_pool(capsys, monkeypatch):
+    # the key tree runs in this process at the cap; only the fine tree forks
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+    support = '{"A": [1,2,3,4,5,6,7]}'
+    code, out, err = run(capsys, "verify", support, "--samples", "5")
+    assert code == 0 and out.startswith("seed=0 samples=5") and err == ""
+    code, polytope_svg, err = run(capsys, "polytope", support, "--format", "svg")
+    assert code == 0 and polytope_svg.startswith("<svg") and err == ""
+    assert run(capsys, "plot", support) == (0, polytope_svg, "")
+
+
+@pytest.mark.parametrize("jobs", ["2", "0", "-3"])
+def test_polytope_svg_refuses_jobs_other_than_one(capsys, jobs):
+    code, out, err = run(
+        capsys, "polytope", '{"A": [1,2,3,4]}', "--format", "svg", "--jobs", jobs
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: jobs must be 1 for a drop-key build, got {jobs}\n"
+    serial = run(capsys, "polytope", '{"A": [1,2,3,4]}', "--format", "svg")
+    assert run(
+        capsys, "polytope", '{"A": [1,2,3,4]}', "--format", "svg", "--jobs", "1"
+    ) == serial
+
+
 def test_samples_must_be_positive(capsys):
     code, _, err = run(capsys, "verify", '{"A": [1,2,3,4]}', "--samples", "0")
     assert code == 1 and "--samples must be >= 1" in err
@@ -559,6 +586,8 @@ def run_usage(capsys, *argv):
         ("enumerate", '{"A": [1,2,3,4]}', "--shift", "0,0"),
         ("strata", MIXED, "--axes", "0,1"),
         ("plot", '{"A": [1,2,3,4]}', "--format", "json"),
+        ("verify", '{"A": [1,2,3,4]}', "--jobs", "2"),
+        ("plot", '{"A": [1,2,3,4]}', "--jobs", "2"),
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[2:]),
 )

@@ -195,7 +195,7 @@ def test_chains_imply_every_pair_form(points):
     # Z pair forms combine with weights d_i = w[i + 1] - w[i]
     support = validate_support(points)
     triples = 0
-    for w in cones._all_subdivisions(support):
+    for w in cones._all_subdivisions(support, len(support)):
         (_, z), *ms = cones._chains(support, w)
         d = [b - a for a, b in zip(w, w[1:])]
         for p, q, r in itertools.permutations(range(len(w) - 1), 3):
@@ -556,9 +556,32 @@ def test_support_size_cap():
 
 # the library refuses what the CLI refuses, rather than running serially
 @pytest.mark.parametrize("jobs", [0, -3])
-@pytest.mark.parametrize(
-    "build", [enumerate_types, cones.enumerate_keys, build_polytope]
-)
+@pytest.mark.parametrize("build", [enumerate_types, build_polytope])
 def test_jobs_below_one_is_refused(build, jobs):
     with pytest.raises(MorsekitError, match=f"^jobs must be >= 1, got {jobs}$"):
         build(validate_support([1, 2, 3, 4]), jobs=jobs)
+
+
+# the key tree runs in one process: a worker count is refused, not ignored
+@pytest.mark.parametrize("jobs", [0, -3, 2])
+def test_key_build_refuses_jobs_other_than_one(jobs):
+    with pytest.raises(
+        MorsekitError,
+        match=f"^jobs must be 1 for a drop-key build, got {jobs}$",
+    ):
+        build_polytope(validate_support([1, 2, 3, 4]), keys=True, jobs=jobs)
+
+
+def test_key_build_starts_no_process_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    support = validate_support([1, 2, 3, 4, 5, 6, 7])
+    serial = build_polytope(support, keys=True)
+    assert build_polytope(support, keys=True, jobs=1) == serial
+    assert len(serial.vertices) == 65
+    # the patch is where a pool would start: the fine tree reaches it
+    with pytest.raises(AssertionError, match="process pool"):
+        enumerate_types(validate_support([1, 2, 3, 4]), jobs=2)

@@ -47,9 +47,10 @@ SUPPORTS = NAMED + _random_supports(20, seed=14)
 @pytest.mark.parametrize("jobs", [None, 2])
 @pytest.mark.parametrize("points", SUPPORTS, ids=lambda p: ",".join(map(str, p)))
 def test_key_build_matches_the_fine_build(points, jobs):
+    # the fine build, serial or pooled, against the key build in one process
     support = validate_support(points)
     fine = build_polytope(support, jobs=jobs)
-    keys = build_polytope(support, jobs=jobs, keys=True)
+    keys = build_polytope(support, keys=True)
     assert keys.vertices == fine.vertices
     assert (keys.d1, keys.d2) == (fine.d1, fine.d2)
     # the key tree finds exactly the keys of the fine types, once each

@@ -21,7 +21,9 @@ from morsekit import (
     unit_interval_shift,
     validate_support,
 )
+from morsekit.cones import enumerate_keys
 from morsekit.errors import MalformedInput
+from morsekit.support_function import a2_coeffs
 
 from conftest import dot
 
@@ -183,3 +185,45 @@ def test_mu_value_matches_cone_vertex_on_samples():
             assert mu_value(support, gamma) == dot(
                 mu_coeffs(support, ctype), gamma.values
             )
+
+
+A2_SUPPORTS = [
+    [1, 2, 3, 4],
+    [-3, -1, 1, 2, 4],
+    [1, 2, 3, 4, 5, 6, 7],
+    [-3, -1, 1, 2, 4, 5, 6],
+    [2, 4, 6, 8, 9, 10, 12],
+    [-5, -2, 1, 3, 4, 7],
+]
+
+
+def gkz_vector(support, w) -> tuple[int, ...]:
+    """phi_W by its definition: at each element of W the next element minus
+    the previous one, an endpoint standing in for its missing neighbour, and
+    0 at every exponent off W."""
+    phi = dict.fromkeys(support.points, 0)
+    for i, a in enumerate(w):
+        phi[a] = w[min(i + 1, len(w) - 1)] - w[max(i - 1, 0)]
+    return tuple(phi[a] for a in support.points)
+
+
+@pytest.mark.parametrize("points", A2_SUPPORTS, ids=lambda p: ",".join(map(str, p)))
+def test_a2_coeffs_is_the_gkz_vector_less_the_endpoints(points):
+    support = validate_support(points)
+    keys = [ctype for ctype, _ in enumerate_keys(support)]
+    assert keys
+    for ctype in keys:
+        expected = list(gkz_vector(support, ctype.w))
+        expected[0] -= 1
+        expected[-1] -= 1
+        assert a2_coeffs(support, ctype) == tuple(expected), ctype
+
+
+@pytest.mark.parametrize("points", A2_SUPPORTS, ids=lambda p: ",".join(map(str, p)))
+def test_mu_minus_a2_is_even(points):
+    # |2A1| = (mu - |A2|) / 2 is a count, so its form must be integral
+    support = validate_support(points)
+    for ctype, _ in enumerate_keys(support):
+        mu = mu_coeffs(support, ctype, ShiftConfig(0, 0))
+        diff = [m - a for m, a in zip(mu, a2_coeffs(support, ctype))]
+        assert all(d % 2 == 0 for d in diff), (ctype, diff)
