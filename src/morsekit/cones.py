@@ -11,11 +11,16 @@ The simplex keeps a dictionary over the n nonbasic columns only, every entry
 over one common denominator, and pivots by exact integer division (Bareiss;
 Avis's lrs), so a pivot costs O(m n) however many rows have been pivoted.
 Each row is packed into one Python int, its right-hand side and its n
-entries in signed fields of one width, fixed per solve by a Hadamard bound
-on the minors the dictionary can hold; a pivot then updates a whole row with
-a few big-integer operations instead of one Python operation per entry.
-Each form's cleared integer form, 1-norm and packed row are cached, since
-the enumeration solves the same forms many times over.
+entries in signed fields of one width; a pivot then updates a whole row with
+a few big-integer operations instead of one Python operation per entry, and
+one add and one mask of the objective row find every slot that may enter.
+The width is fixed per solve by Hadamard's inequality on the rows' 2-norms:
+every dictionary entry is a minor of order at most n + 1 of the forms with a
+column of ones appended, so it is at most the square root of the product of
+the n + 1 largest ||l_i||_2^2 + 1 (`feasible` gives the proof).  Each form's
+cleared integer form, norms and packed row are cached, since the enumeration
+solves the same forms many times over, and so are the packing constants of
+each width.
 
 The search is a backtracking tree per subdivision W: hull constraints first
 (they kill most subdivisions cheaply), then k + 1 chains in turn, the root
@@ -66,11 +71,11 @@ leaf's printed witness.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt, prod
 from operator import mul
 
 from .errors import MorsekitError, SlopeDegenerate, SupportTooLarge
@@ -81,40 +86,40 @@ from .tropical import CombinatorialType, Covector, SupportSet, extract
 Form = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class StrictSystem:
     """Homogeneous forms required strictly positive, on g >= 0 variables.
 
     A form shorter than `nvars` is padded with zeros; a longer one is refused.
-    `present` holds the forms and the comparisons they imply, the set the
-    store tests its cores against; `extended` builds a child's from its
-    parent's, hashing only the forms and comparisons it adds.
+    `learned` is the store of proven-empty cores, shared by every system
+    extended from the same base.  `present` holds the forms and the
+    comparisons they imply, the set the store tests its cores against, and
+    `fresh` the comparisons that came with the newest forms; `extended`
+    builds a child's from its parent's, hashing only the forms and
+    comparisons it adds.  The value is (nvars, forms): equality, hash and
+    repr read nothing else.  No field can be reassigned; the store is the
+    one part that changes, and it is shared on purpose.
     """
 
-    nvars: int
-    forms: tuple[Form, ...] = field(default_factory=tuple)
-    # form -> the proven-empty cores (frozensets of forms) that contain it;
-    # shared by every system extended from the same base
-    learned: dict[Form, list[frozenset[Form]]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    # the forms plus the comparisons they imply (positive combinations of
-    # them), which the store counts as present; None builds it from `forms`
-    present: frozenset[Form] | None = field(default=None, compare=False, repr=False)
-    # the comparisons that came with the newest forms
-    fresh: tuple[Form, ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("nvars", "forms", "learned", "present", "fresh")
 
-    def __post_init__(self):
-        if self.present is None:
-            _check_lengths(self.forms, self.nvars)
-            object.__setattr__(self, "present", frozenset(self.forms))
+    def __new__(
+        cls,
+        nvars: int,
+        forms: tuple[Form, ...] = (),
+        learned: dict[Form, list[frozenset[Form]]] | None = None,
+    ):
+        forms = tuple(forms)
+        _check_lengths(forms, nvars)
+        if learned is None:
+            learned = {}
+        return _system(nvars, forms, learned, frozenset(forms), ())
 
     def extended(self, extra, implied=()) -> "StrictSystem":
         extra = tuple(extra)
         implied = tuple(implied)
         # the parent's forms were checked when it was built
         _check_lengths(extra, self.nvars)
-        return StrictSystem(
+        return _system(
             self.nvars,
             self.forms + extra,
             self.learned,
@@ -127,6 +132,44 @@ class StrictSystem:
         return all(sum(map(mul, form, point)) > 0 for form in self.forms) and all(
             x >= 0 for x in point
         )
+
+    def __eq__(self, other):
+        if other.__class__ is not StrictSystem:
+            return NotImplemented
+        return self.nvars == other.nvars and self.forms == other.forms
+
+    def __hash__(self):
+        return hash((self.nvars, self.forms))
+
+    def __repr__(self):
+        return f"StrictSystem(nvars={self.nvars!r}, forms={self.forms!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _system, (self.nvars, self.forms, self.learned, self.present, self.fresh)
+
+
+# `__setattr__` refuses every assignment, so a system's fields are written
+# once, through the slots' own descriptors, when it is made
+_new = object.__new__
+_set_nvars, _set_forms, _set_learned, _set_present, _set_fresh = (
+    vars(StrictSystem)[name].__set__ for name in StrictSystem.__slots__
+)
+
+
+def _system(nvars, forms, learned, present, fresh) -> StrictSystem:
+    system = _new(StrictSystem)
+    _set_nvars(system, nvars)
+    _set_forms(system, forms)
+    _set_learned(system, learned)
+    _set_present(system, present)
+    _set_fresh(system, fresh)
+    return system
 
 
 def _check_lengths(forms, nvars: int) -> None:
@@ -166,15 +209,22 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
     Field j decodes as ((A[i] + bias) >> w j & (2^w - 1)) - 2^(w - 1),
     where bias holds 2^(w - 1) in every field, so the right-hand side needs
     no shift.  Decoding is right as long as every stored entry lies in
-    [-2^(w - 1), 2^(w - 1)).
+    (-2^(w - 1), 2^(w - 1)); then every field of O + bias is at least 1, so
+    subtracting 1 from each slot field borrows from no other field, and
+    slot k enters exactly when its field less one keeps its top bit.  One
+    add and one mask of O thus give every slot with O > 0, and Bland's rule
+    picks among them.
 
-    The width w is ((m + 1) H).bit_length() + 1 with H = (N + 1)^(n + 1)
-    and N the largest 1-norm of a form.  Proof: by Cramer's rule det and
-    every A[i][j] are, up to sign, square minors of the full tableau
-    [L | -I | I | 1]; expanding along its unit columns leaves a minor of
-    order <= n + 1 of [L | 1].  A row of [L | 1] restricted to any columns
-    has 2-norm at most its 1-norm, at most N + 1, so by Hadamard's
-    inequality the minor is at most H in absolute value.  The objective row
+    The width w is ((m + 1) H).bit_length() + 1 with
+    H = ceil(sqrt(P)), P the product of the n + 1 largest of the weights
+    ||l_i||_2^2 + 1 (all m when m <= n), l_i the cleared forms.  Proof: by
+    Cramer's rule det and every A[i][j] are, up to sign, square minors of
+    the full tableau [L | -I | I | 1]; expanding along its unit columns
+    leaves a minor of order k <= n + 1 of [L | 1].  Its rows are rows of
+    [L | 1] restricted to some columns, the row of l_i of squared 2-norm at
+    most ||l_i||_2^2 + 1, so by Hadamard's inequality the minor is at most
+    the square root of the product of k weights, and as every weight is
+    at least 1, at most sqrt(P) <= H in absolute value.  The objective row
     is the sum of the rows whose artificial is basic, at most m of them, so
     every stored entry is below (m + 1) H < 2^(w - 1) in absolute value.
     The bound is nearly tight for zero forms, where H = 1 and the
@@ -192,12 +242,13 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
     records the first smallest core (the forms with y > 0) in the store
     `system.learned` under each of its forms.  A sum of two has entries at
     most 2 H in absolute value, within the objective row's bound, so it
-    decodes in the same fields.  A system whose `present` set, its forms and
-    the comparisons they imply, contains a stored core is answered None
-    before any dictionary is built.  Cores are looked up only under the last
-    form and the comparisons that came with it (see `_stored_core_within`),
-    one subset test each: systems grow by appending to a feasible prefix, so
-    only these can complete a core, and a miss merely solves.
+    decodes, and its slots test, in the same fields.  A system whose
+    `present` set, its forms and the comparisons they imply, contains a
+    stored core is answered None before any dictionary is built.  Cores are
+    looked up only under the last form and the comparisons that came with it
+    (see `_stored_core_within`), one subset test each: systems grow by
+    appending to a feasible prefix, so only these can complete a core, and a
+    miss merely solves.
 
     The witness is the final dictionary's own values: the structural
     variables' right-hand sides as integer `numerators` over the one
@@ -215,13 +266,9 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
     cleared = [_cleared(form) for form in forms]
     m = len(forms)
     artificial = n + m
-    norm = max(norm for _, norm in cleared)
-    width = ((m + 1) * (norm + 1) ** (n + 1)).bit_length() + 1
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    bias = sum(half << (width * j) for j in range(n + 1))
-    shifts = [width * (k + 1) for k in range(n)]
-    rows = [_packed(integer, width) for integer, _ in cleared]
+    _, width = _field_width([weight for _, _, weight in cleared], n)
+    half, mask, bias, entering, tops, shifts = _layout(n, width)
+    rows = [_packed(integer, width) for integer, _, _ in cleared]
     # reduced costs of min(sum of artificials): the column sums
     obj = sum(rows)
     cols = list(range(n))
@@ -229,14 +276,19 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
     det = 1
 
     while True:
-        # Bland: the lowest-numbered variable with O > 0 enters
-        biased = obj + bias
-        s = -1
-        for k in range(n):
-            if biased >> shifts[k] & mask > half and (s < 0 or cols[k] < cols[s]):
-                s = k
-        if s < 0:
+        # Bland: the lowest-numbered variable with O > 0 enters; a slot is
+        # positive iff its biased field less one keeps its top bit, which
+        # for slot k is bit w (k + 2) - 1
+        positive = (obj + entering) & tops
+        if not positive:
             break
+        s = -1
+        while positive:
+            low = positive & -positive
+            positive ^= low
+            k = low.bit_length() // width - 2
+            if s < 0 or cols[k] < cols[s]:
+                s = k
         sh = shifts[s]
         column = [((row + bias) >> sh & mask) - half for row in rows]
         r = -1
@@ -264,7 +316,7 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
                 rows[i] = (p * rows[i] - f * q) // det
             elif p != det:
                 rows[i] = p * rows[i] // det
-        f = (biased >> sh & mask) - half
+        f = ((obj + bias) >> sh & mask) - half
         obj = (p * obj - f * q) // det
         if sign < 0:
             obj -= p << sh
@@ -283,9 +335,7 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
             # the core of `packed`, the sum of the rows `members`, or None
             # unless its right-hand side is positive and none of its slots is
             biased = packed + bias
-            if biased & mask <= half:
-                return None
-            if any(biased >> sh & mask > half for sh in shifts):
+            if biased & mask <= half or (packed + entering) & tops:
                 return None
             negative = [form for sh, form in surplus if biased >> sh & mask < half]
             return frozenset(forms[i] for i in members).union(negative)
@@ -332,19 +382,48 @@ def _stored_core_within(system: StrictSystem) -> bool:
 
 
 # The enumeration solves the same forms many times over, so each form's
-# cleared integer form and 1-norm, and its packed row per field width, are
-# computed once and kept in bounded caches.
+# cleared integer form, 1-norm and squared 2-norm plus one, and its packed row
+# per field width, are computed once and kept in bounded caches.
 @lru_cache(maxsize=1 << 13)
-def _cleared(form: Form) -> tuple[Form, int]:
+def _cleared(form: Form) -> tuple[Form, int, int]:
     # a positive scaling leaves each strict inequality as it was
     integer = clear_denominators(form)
-    return integer, sum(map(abs, integer))
+    return integer, sum(map(abs, integer)), sum(c * c for c in integer) + 1
 
 
 @lru_cache(maxsize=1 << 13)
 def _packed(integer: Form, width: int) -> int:
     # slot k in field k + 1; the right-hand side 1 in field 0
     return 1 + sum(c << width * (k + 1) for k, c in enumerate(integer))
+
+
+def _field_width(weights: list[int], n: int) -> tuple[int, int]:
+    """(H, w) for rows l_i with weights ||l_i||_2^2 + 1, on n variables.
+
+    H = ceil(sqrt(product of the n + 1 largest weights)) bounds every minor
+    of order <= n + 1 of [L | 1], and w = ((m + 1) H).bit_length() + 1 for
+    m rows is the field width of `feasible`, which proves the bound.
+    """
+    bound = isqrt(prod(sorted(weights)[-n - 1 :]) - 1) + 1
+    return bound, ((len(weights) + 1) * bound).bit_length() + 1
+
+
+@lru_cache(maxsize=1 << 10)
+def _layout(n: int, width: int) -> tuple[int, int, int, int, int, tuple[int, ...]]:
+    """The packing constants of `feasible` for n slots of `width` bits.
+
+    half = 2^(w - 1) and mask = 2^w - 1 decode one field; bias holds half in
+    every field; `entering` is bias less 1 in each slot field and `tops` the
+    top bit of each slot field, for the entering test; shifts[k] is the
+    offset of slot k.
+    """
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    ones = sum(1 << width * (k + 1) for k in range(n))
+    tops = ones << (width - 1)
+    bias = half + tops
+    shifts = tuple(width * (k + 1) for k in range(n))
+    return half, mask, bias, bias - ones, tops, shifts
 
 
 # --- constraint assembly ---------------------------------------------------------
@@ -514,9 +593,10 @@ def _extend(
     """
     child = system.extended(extra, implied)
     numerators, _ = witness
-    if all(sum(map(mul, form, numerators)) > 0 for form in extra):
-        return child, witness
-    return child, feasible(child)
+    for form in extra:
+        if sum(map(mul, form, numerators)) <= 0:
+            return child, feasible(child)
+    return child, witness
 
 
 def _subdivision_types(

@@ -45,7 +45,8 @@ def rational_to_json(value: Fraction):
     Raises NumberTooLarge when the numerator or the denominator has more
     digits than `sys.get_int_max_str_digits()` allows in decimal text.
     """
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     try:
         text = str(value)
     except ValueError as exc:

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -222,6 +223,22 @@ def test_store_is_not_part_of_the_system_value():
     assert hash(grown) == hash(StrictSystem(2, forms))
     assert repr(grown) == repr(StrictSystem(2, forms))
     assert "present" not in repr(grown) and "fresh" not in repr(grown)
+
+
+def test_system_is_immutable():
+    grown = StrictSystem(2, ((1, 0),), {}).extended([(0, 1)], [(1, 1)])
+    for name in ("nvars", "forms", "learned", "present", "fresh"):
+        with pytest.raises(AttributeError):
+            setattr(grown, name, getattr(grown, name))
+        with pytest.raises(AttributeError):
+            delattr(grown, name)
+    with pytest.raises(AttributeError):
+        grown.extra = ()
+    assert grown == StrictSystem(2, ((1, 0), (0, 1)))
+    # a copy keeps the store's set, not one rebuilt from the forms
+    copied = pickle.loads(pickle.dumps(grown))
+    assert copied == grown
+    assert (copied.present, copied.fresh) == (grown.present, grown.fresh)
 
 
 def test_form_longer_than_nvars_is_refused():

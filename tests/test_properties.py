@@ -2,6 +2,7 @@
 the exact-rational round trip, the covector kernels, the slope table against
 reference tie tests, and support validation."""
 
+import itertools
 import json
 import random
 from dataclasses import fields, is_dataclass
@@ -11,7 +12,7 @@ from math import gcd
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from morsekit import (  # noqa: E402
@@ -36,12 +37,14 @@ from morsekit import (  # noqa: E402
     validate_support,
     vol_fiber_closed,
 )
+from morsekit import cones  # noqa: E402
 from morsekit.errors import (  # noqa: E402
     DegenerateHull,
     DegeneracyError,
     DuplicatePoint,
     MorsekitError,
     NotGenerating,
+    NumberTooLarge,
     RootValueDegenerate,
     SlopeDegenerate,
     TooShort,
@@ -171,6 +174,61 @@ def test_objective_row_sums_many_rows():
         assert check(2, ((0, 0),) * m) is None
 
 
+def _det(matrix) -> int:
+    # Leibniz: exact, and orders of at most 4 make 24 terms
+    total = 0
+    for perm in itertools.permutations(range(len(matrix))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for row, col in zip(matrix, perm):
+            term *= row[col]
+        total += term
+    return total
+
+
+@st.composite
+def small_integer_systems(draw):
+    """1-3 variables, 1-5 integer forms, small coefficients next to ones
+    near 10^10 (the Z forms of [1,2,3,100000] reach that size)."""
+    nvars = draw(st.integers(1, 3))
+    coefficient = st.one_of(
+        st.integers(-3, 3),
+        st.integers(10**10 - 9, 10**10 + 9),
+        st.integers(-(10**10), 10**10),
+    )
+    form = st.lists(coefficient, min_size=nvars, max_size=nvars).map(tuple)
+    return nvars, draw(st.lists(form, min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_integer_systems())
+@example((2, [(0, 0)] * 3))
+@example((3, [(0, 0, 0)] * 5))
+@example((1, [(10**10,), (-(10**10),), (10**10 - 1,)]))
+def test_width_bounds_every_minor_by_brute_force(case):
+    # every square minor of [L | 1] of order <= n + 1 is at most H, the
+    # objective row's (m + 1) H fits below the sign bit of the field, and
+    # the field is no wider than that needs
+    nvars, forms = case
+    weights = [sum(c * c for c in form) + 1 for form in forms]
+    assert weights == [cones._cleared(form)[2] for form in forms]
+    bound, width = cones._field_width(weights, nvars)
+    m = len(forms)
+    assert 2 ** (width - 2) <= (m + 1) * bound < 2 ** (width - 1)
+    augmented = [(*form, 1) for form in forms]
+    largest = 0
+    for order in range(1, min(m, nvars + 1) + 1):
+        for rows in itertools.combinations(augmented, order):
+            for columns in itertools.combinations(range(nvars + 1), order):
+                minor = _det([[row[j] for j in columns] for row in rows])
+                largest = max(largest, abs(minor))
+    assert largest <= bound
+    # zero forms, where the width is tightest: the ones column alone gives
+    # minors of 1, and the bound is 1
+    if not any(map(any, forms)):
+        assert largest == bound == 1
+
+
 @st.composite
 def branching_systems(draw, nvars):
     """A shared base and sibling branches grown from it, at most 8 forms each.
@@ -254,6 +312,13 @@ def test_rational_json_round_trip(value):
     assert parse_rational(encoded) == value
     assert parse_rational(json.loads(json.dumps(encoded))) == value
     assert isinstance(encoded, int) == (value.denominator == 1)
+
+
+def test_rational_json_past_the_digit_limit_raises():
+    # ints and Fractions alike: a number JSON could not print is refused
+    for value in (10**5000, Fraction(10**5000, 3), Fraction(1, 10**5000)):
+        with pytest.raises(NumberTooLarge):
+            rational_to_json(value)
 
 
 @given(st.integers(), st.integers(1, 10**30))
