@@ -66,12 +66,11 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
-def _polytope(args, support, keys=False, jobs=None):
+def _polytope(args, support, keys=False):
     return build_polytope(
         support,
         parse_shift(args.shift, support),
         max_support_size=args.max_support_size,
-        jobs=jobs,
         keys=keys,
     )
 
@@ -200,9 +199,7 @@ def cmd_fiber(args) -> int:
 
 def cmd_enumerate(args) -> int:
     support, _ = _load_input(args.input)
-    types = enumerate_types(
-        support, max_support_size=args.max_support_size, jobs=args.jobs
-    )
+    types = enumerate_types(support, max_support_size=args.max_support_size)
     # the number of forms depends on W alone: one cone system per subdivision
     constraints = {}
     for ctype, _ in types:
@@ -229,8 +226,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_polytope(args) -> int:
     support, _ = _load_input(args.input)
-    svg = args.format == "svg"  # reads no cones: a key build, in one process
-    poly = _polytope(args, support, keys=svg, jobs=args.jobs)
+    svg = args.format == "svg"  # reads no cones: a key build
+    poly = _polytope(args, support, keys=svg)
     if svg:
         sys.stdout.write(render_svg(project_and_hull(poly, _axes(args))))
         return 0
@@ -324,9 +321,6 @@ _OPTIONS = {
     "--axes": dict(default=None, help="projection axes 'i,j'"),
     "--samples": dict(type=int, default=200),
     "--seed": dict(type=int, default=0),
-    "--jobs": dict(
-        type=int, default=1, help="fine-tree workers: enumerate, polytope json|text"
-    ),
     "--max-support-size": dict(type=int, default=MAX_SUPPORT_SIZE),
 }
 
@@ -338,16 +332,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     text, svg = ("json", "text"), ("json", "text", "svg")
-    pool = ("--jobs", "--max-support-size")
+    capped = ("--max-support-size",)
     # subcommand, help, --format choices, the other flags it reads
     commands = (
         ("extract", "combinatorial data of a covector", text, ()),
         ("mu", "support-function value and cone vertex", text, ("--shift",)),
         ("cj", "correction sums C^j with dual-route diagnostics", text, ()),
         ("fiber", "fiber polygon as a trapezoid stack", svg, ()),
-        ("enumerate", "all realizable combinatorial types", text, pool),
+        ("enumerate", "all realizable combinatorial types", text, capped),
         ("polytope", "vertices and cone table of the polytope", svg,
-         ("--shift", "--axes", *pool)),
+         ("--shift", "--axes", *capped)),
         ("strata", "multisingularity stratum counts", text, ("--shift",)),
         ("verify", "seeded property suite", text,
          ("--shift", "--samples", "--seed", "--max-support-size")),

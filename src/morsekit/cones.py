@@ -26,8 +26,7 @@ The search is a backtracking tree per subdivision W: hull constraints first
 (they kill most subdivisions cheaply), then k + 1 chains in turn, the root
 order Z and one monomial order M^j per root.  Every chain grows one element
 at a time with a feasibility test per extension, and `cone_constraints`
-reads its forms off the same chain definitions.  The subdivisions are
-independent tasks.
+reads its forms off the same chain definitions.
 
 `enumerate_types` grows every chain by the fine rule, one new comparison
 per element, so its leaves are the paper's types (W, Z, M).  The vertex
@@ -37,9 +36,7 @@ grows each M^j by the drop rule: pick a live element beating every other
 live one, replace b by its gcd with it, stop when none is live.  A leaf is
 a drop key (`singularity.drop_key`), one convex cone of fine types with one
 vertex: a few dozen keys stand for the thousands of types of |A| = 6.
-Only the fine tree fans out: `jobs` > 1 maps the subdivisions of
-`enumerate_types` over a process pool; `enumerate_keys` maps them in order,
-since up to the default cap two workers slow the key tree (README, Scale).
+Every build maps its subdivisions in sorted order, in this process.
 
 Most extensions that turn out empty repeat a contradiction a sibling already
 met.  When phase 1 proves a system empty, its final dictionary holds Farkas
@@ -70,7 +67,6 @@ leaf's printed witness.
 
 from __future__ import annotations
 
-import os
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cache, lru_cache, partial
@@ -676,15 +672,6 @@ def _all_subdivisions(
     return sorted(subs)
 
 
-def _pool_size(jobs: int | None, tasks: int) -> int:
-    """Worker processes for `jobs`: never more than the CPUs or the tasks.
-
-    The pool forks every worker up front, so an unclamped request would
-    start that many processes whatever the work.
-    """
-    return min(jobs or 1, os.cpu_count() or 1, tasks)
-
-
 MAX_SUPPORT_SIZE = 7
 
 
@@ -692,34 +679,19 @@ def enumerate_types(
     support: SupportSet,
     *,
     max_support_size: int = MAX_SUPPORT_SIZE,
-    jobs: int | None = None,
 ) -> list[tuple[CombinatorialType, Covector]]:
     """Every realizable combinatorial type, with an interior witness each.
 
-    Each subdivision W is one task, and `jobs` > 1 maps the tasks over a
-    process pool of at most that many workers, clamped to the CPUs and to
-    the number of subdivisions.  Output is canonically ordered
-    (lexicographic by W, then Z, then M) and identical regardless of the
-    parallelism degree: the tasks run in sorted W order, the pool returns
-    them in that order, and each tree tries every chain's elements in
-    increasing order, so it emits its types sorted.  Raises SupportTooLarge
-    past the combinatorial cap, and MorsekitError for `jobs` < 1.
+    Output is canonically ordered (lexicographic by W, then Z, then M): the
+    subdivisions are mapped in sorted W order, in this process, and each
+    tree tries every chain's elements in increasing order, so it emits its
+    types sorted.  Raises SupportTooLarge past the combinatorial cap.
     """
-    if jobs is not None and jobs < 1:
-        raise MorsekitError(f"jobs must be >= 1, got {jobs}")
-    subdivisions = _all_subdivisions(support, max_support_size)
-    task = partial(_subdivision_types, support, False)
-    workers = _pool_size(jobs, len(subdivisions))
-    if workers > 1:
-        # imported here so that importing the package does not load
-        # multiprocessing, which only a parallel run needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(task, subdivisions))
-    else:
-        chunks = map(task, subdivisions)
-    return [item for chunk in chunks for item in chunk]
+    return [
+        item
+        for w in _all_subdivisions(support, max_support_size)
+        for item in _subdivision_types(support, False, w)
+    ]
 
 
 def enumerate_keys(
@@ -731,7 +703,6 @@ def enumerate_keys(
 
     As `enumerate_types`, with each M^j grown by the drop rule: a leaf is the
     drop key of the fine types in one convex cone, which share one vertex.
-    The subdivisions are mapped in order, in this process.
     """
     return [
         item

@@ -8,7 +8,7 @@ from functools import cached_property
 from math import ceil, floor
 
 from .cones import MAX_SUPPORT_SIZE, enumerate_keys, enumerate_types
-from .errors import BadAxes, HyperplaneViolation, MorsekitError, NumberTooLarge
+from .errors import BadAxes, HyperplaneViolation, NumberTooLarge
 from .rationals import rational_to_json
 from .singularity import drop_key
 from .support_function import ShiftConfig, mu_coeffs
@@ -74,7 +74,6 @@ def build_polytope(
     shift: ShiftConfig = ShiftConfig(),
     *,
     max_support_size: int = MAX_SUPPORT_SIZE,
-    jobs: int | None = None,
     keys: bool = False,
 ) -> MorsePolytope:
     """Enumerate cones, evaluate the vertex of each, dedup, and verify.
@@ -82,18 +81,11 @@ def build_polytope(
     Vertices are ordered lexicographically; the cone table keeps the
     canonical enumeration order so the surjection stays inspectable.  With
     `keys` the cones are the drop keys' (`cones.enumerate_keys`), far fewer
-    for the same vertices, and the table holds one record per key.  `jobs`
-    fans out only the fine tree: with `keys`, any `jobs` but None or 1
-    raises MorsekitError rather than being ignored.
+    for the same vertices, and the table holds one record per key.  Either
+    build runs in this process.
     """
-    if not keys:
-        enumerated = enumerate_types(
-            support, max_support_size=max_support_size, jobs=jobs
-        )
-    elif jobs in (None, 1):
-        enumerated = enumerate_keys(support, max_support_size=max_support_size)
-    else:
-        raise MorsekitError(f"jobs must be 1 for a drop-key build, got {jobs}")
+    enumerate_cones = enumerate_keys if keys else enumerate_types
+    enumerated = enumerate_cones(support, max_support_size=max_support_size)
     raw = [mu_coeffs(support, ctype, shift) for ctype, _ in enumerated]
     vertices = tuple(sorted(set(raw)))
     index = {v: i for i, v in enumerate(vertices)}

@@ -414,24 +414,6 @@ def test_samples_cap(capsys, monkeypatch):
     assert out == f"seed=0 samples={cap} resamples=0\n"
 
 
-def test_jobs_flag_and_env(capsys):
-    code, serial, _ = run(capsys, "enumerate", '{"A": [1,2,3,4]}', "--format", "json")
-    assert code == 0
-    code, out, _ = run(
-        capsys, "enumerate", '{"A": [1,2,3,4]}', "--jobs", "2", "--format", "json"
-    )
-    assert code == 0 and out == serial
-
-
-# the environment holds no fallback count, nor one that overrides the flag
-@pytest.mark.parametrize("flag,env", [("0", None), ("-3", None), ("0", "2")])
-def test_jobs_below_one_exit_one(capsys, monkeypatch, flag, env):
-    if env is not None:
-        monkeypatch.setenv("MORSEKIT_JOBS", env)
-    code, out, err = run(capsys, "enumerate", '{"A": [1,2,3,4]}', "--jobs", flag)
-    assert code == 1 and out == "" and err == f"error: jobs must be >= 1, got {flag}\n"
-
-
 def test_jobs_env_is_ignored(capsys, monkeypatch):
     serial = run(capsys, "enumerate", '{"A": [1,2,3,4]}')
     assert serial[0] == 0 and serial[2] == ""
@@ -536,7 +518,8 @@ def test_drawings_build_from_drop_keys(capsys, monkeypatch):
 
 
 def test_key_builds_start_no_process_pool(capsys, monkeypatch):
-    # the key tree runs in this process at the cap; only the fine tree forks
+    # every build runs in this process: the key tree at the cap, and the
+    # fine tree of `enumerate` and `polytope --format json|text`
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
@@ -547,19 +530,12 @@ def test_key_builds_start_no_process_pool(capsys, monkeypatch):
     code, polytope_svg, err = run(capsys, "polytope", support, "--format", "svg")
     assert code == 0 and polytope_svg.startswith("<svg") and err == ""
     assert run(capsys, "plot", support) == (0, polytope_svg, "")
-
-
-@pytest.mark.parametrize("jobs", ["2", "0", "-3"])
-def test_polytope_svg_refuses_jobs_other_than_one(capsys, jobs):
-    code, out, err = run(
-        capsys, "polytope", '{"A": [1,2,3,4]}', "--format", "svg", "--jobs", jobs
-    )
-    assert (code, out) == (1, "")
-    assert err == f"error: jobs must be 1 for a drop-key build, got {jobs}\n"
-    serial = run(capsys, "polytope", '{"A": [1,2,3,4]}', "--format", "svg")
-    assert run(
-        capsys, "polytope", '{"A": [1,2,3,4]}', "--format", "svg", "--jobs", "1"
-    ) == serial
+    support = '{"A": [1,2,3,4]}'
+    code, out, err = run(capsys, "enumerate", support)
+    assert code == 0 and out.startswith("8 types\n") and err == ""
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, "polytope", support, "--format", fmt)
+        assert code == 0 and out and err == ""
 
 
 def test_samples_must_be_positive(capsys):
@@ -588,6 +564,9 @@ def run_usage(capsys, *argv):
         ("plot", '{"A": [1,2,3,4]}', "--format", "json"),
         ("verify", '{"A": [1,2,3,4]}', "--jobs", "2"),
         ("plot", '{"A": [1,2,3,4]}', "--jobs", "2"),
+        ("enumerate", '{"A": [1,2,3,4]}', "--jobs", "2"),
+        ("polytope", '{"A": [1,2,3,4]}', "--jobs", "1"),
+        ("polytope", '{"A": [1,2,3,4]}', "--format", "svg", "--jobs", "1"),
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[2:]),
 )

@@ -22,8 +22,8 @@ from morsekit import (
     validate_support,
 )
 from morsekit import cones
-from morsekit.cones import _genericize, _pool_size
-from morsekit.errors import DegeneracyError, MorsekitError, SlopeDegenerate
+from morsekit.cones import _genericize
+from morsekit.errors import DegeneracyError, SlopeDegenerate
 from morsekit.rationals import clear_denominators
 from morsekit.tropical import check_slopes, slope_groups
 from conftest import as_fractions
@@ -506,20 +506,9 @@ def test_deterministic_and_schedule_independent(points):
     support = validate_support(points)
     first = enumerate_types(support)
     second = enumerate_types(support)
-    parallel = enumerate_types(support, jobs=2)
-    assert first == second == parallel
+    assert first == second
     # the trees emit their types in canonical order, with no sort after them
     assert first == sorted(first, key=lambda p: (p[0].w, p[0].z, p[0].m))
-
-
-def test_pool_size_clamped_to_cpus_and_tasks(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert _pool_size(10**9, 1000) == 4
-    assert _pool_size(10**9, 3) == 3
-    assert _pool_size(2, 1000) == 2
-    assert _pool_size(None, 1000) == _pool_size(0, 1000) == 1
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert _pool_size(8, 1000) == 1
 
 
 def test_sampling_completeness_deg4(deg4_support):
@@ -571,34 +560,14 @@ def test_support_size_cap():
         enumerate_types(support, max_support_size=7)
 
 
-# the library refuses what the CLI refuses, rather than running serially
-@pytest.mark.parametrize("jobs", [0, -3])
-@pytest.mark.parametrize("build", [enumerate_types, build_polytope])
-def test_jobs_below_one_is_refused(build, jobs):
-    with pytest.raises(MorsekitError, match=f"^jobs must be >= 1, got {jobs}$"):
-        build(validate_support([1, 2, 3, 4]), jobs=jobs)
-
-
-# the key tree runs in one process: a worker count is refused, not ignored
-@pytest.mark.parametrize("jobs", [0, -3, 2])
-def test_key_build_refuses_jobs_other_than_one(jobs):
-    with pytest.raises(
-        MorsekitError,
-        match=f"^jobs must be 1 for a drop-key build, got {jobs}$",
-    ):
-        build_polytope(validate_support([1, 2, 3, 4]), keys=True, jobs=jobs)
-
-
 def test_key_build_starts_no_process_pool(monkeypatch):
+    # every build runs in this process: the fine tree as well as the key tree
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
     support = validate_support([1, 2, 3, 4, 5, 6, 7])
-    serial = build_polytope(support, keys=True)
-    assert build_polytope(support, keys=True, jobs=1) == serial
-    assert len(serial.vertices) == 65
-    # the patch is where a pool would start: the fine tree reaches it
-    with pytest.raises(AssertionError, match="process pool"):
-        enumerate_types(validate_support([1, 2, 3, 4]), jobs=2)
+    assert len(build_polytope(support, keys=True).vertices) == 65
+    support = validate_support([1, 2, 3, 4])
+    assert len(enumerate_types(support)) == 8
+    assert len(build_polytope(support).vertices) == 5

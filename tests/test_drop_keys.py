@@ -44,12 +44,10 @@ NAMED = [
 SUPPORTS = NAMED + _random_supports(20, seed=14)
 
 
-@pytest.mark.parametrize("jobs", [None, 2])
 @pytest.mark.parametrize("points", SUPPORTS, ids=lambda p: ",".join(map(str, p)))
-def test_key_build_matches_the_fine_build(points, jobs):
-    # the fine build, serial or pooled, against the key build in one process
+def test_key_build_matches_the_fine_build(points):
     support = validate_support(points)
-    fine = build_polytope(support, jobs=jobs)
+    fine = build_polytope(support)
     keys = build_polytope(support, keys=True)
     assert keys.vertices == fine.vertices
     assert (keys.d1, keys.d2) == (fine.d1, fine.d2)
