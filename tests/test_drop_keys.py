@@ -44,7 +44,11 @@ NAMED = [
 SUPPORTS = NAMED + _random_supports(20, seed=14)
 
 
-@pytest.mark.parametrize("points", SUPPORTS, ids=lambda p: ",".join(map(str, p)))
+# the ids keep the "-None" suffix they had while the fine build could also
+# run pooled (a `jobs` parameter of None or 2), so each case keeps its name
+@pytest.mark.parametrize(
+    "points", SUPPORTS, ids=lambda p: ",".join(map(str, p)) + "-None"
+)
 def test_key_build_matches_the_fine_build(points):
     support = validate_support(points)
     fine = build_polytope(support)
