@@ -27,6 +27,7 @@ _HOME = {
             "DuplicatePoint",
             "HyperplaneViolation",
             "MalformedInput",
+            "MissingCone",
             "MorsekitError",
             "NonIntegerCovector",
             "NotGenerating",

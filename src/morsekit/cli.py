@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .cones import MAX_SUPPORT_SIZE, cone_constraints, enumerate_types
+from .cones import cone_constraints, enumerate_types
 from .errors import DegeneracyError, MorsekitError
 from .fiber import fiber_polygon, strata_counts, vol_fiber_closed
 from .polytope import build_polytope, project_and_hull, render_svg
@@ -27,12 +27,7 @@ from .singularity import (
     level_scan,
 )
 from .support_function import mu_coeffs, parse_shift
-from .tropical import (
-    classify_from_roots,
-    extract,
-    parse_input_json,
-    roots_and_values,
-)
+from .tropical import classify, extract, parse_input_json
 from .verify import run_property_suite
 
 
@@ -67,22 +62,14 @@ def _emit(args, payload: dict, text: str):
 
 
 def _polytope(args, support, keys=False):
-    return build_polytope(
-        support,
-        parse_shift(args.shift, support),
-        max_support_size=args.max_support_size,
-        keys=keys,
-    )
+    return build_polytope(support, parse_shift(args.shift, support), keys=keys)
 
 
 def cmd_extract(args) -> int:
     support, gamma = _load_input(args.input)
     gamma = _need_gamma(gamma)
-    # one root table for the classification and the printout; `extract`
-    # builds its own, in the integers it sorts by
-    w = gamma.hull_vertices()
-    rv = roots_and_values(support, gamma, w)
-    classification = classify_from_roots(support, gamma, w, rv)
+    classification = classify(support, gamma)
+    rv = classification.roots_and_values  # `extract` builds its own root table
     try:
         ctype = extract(support, gamma)
     except DegeneracyError as exc:
@@ -199,7 +186,7 @@ def cmd_fiber(args) -> int:
 
 def cmd_enumerate(args) -> int:
     support, _ = _load_input(args.input)
-    types = enumerate_types(support, max_support_size=args.max_support_size)
+    types = enumerate_types(support)
     # the number of forms depends on W alone: one cone system per subdivision
     constraints = {}
     for ctype, _ in types:
@@ -309,7 +296,17 @@ def _axes(args) -> tuple[int, int] | None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, like malformed input; 2 means a degenerate covector."""
+    """Usage errors exit 1, like malformed input; 2 means a degenerate covector.
+
+    Each parser reports the arguments it does not read itself, so a flag a
+    subcommand does not read is shown with that subcommand's usage line.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -321,7 +318,6 @@ _OPTIONS = {
     "--axes": dict(default=None, help="projection axes 'i,j'"),
     "--samples": dict(type=int, default=200),
     "--seed": dict(type=int, default=0),
-    "--max-support-size": dict(type=int, default=MAX_SUPPORT_SIZE),
 }
 
 
@@ -332,21 +328,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     text, svg = ("json", "text"), ("json", "text", "svg")
-    capped = ("--max-support-size",)
     # subcommand, help, --format choices, the other flags it reads
     commands = (
         ("extract", "combinatorial data of a covector", text, ()),
         ("mu", "support-function value and cone vertex", text, ("--shift",)),
         ("cj", "correction sums C^j with dual-route diagnostics", text, ()),
         ("fiber", "fiber polygon as a trapezoid stack", svg, ()),
-        ("enumerate", "all realizable combinatorial types", text, capped),
+        ("enumerate", "all realizable combinatorial types", text, ()),
         ("polytope", "vertices and cone table of the polytope", svg,
-         ("--shift", "--axes", *capped)),
+         ("--shift", "--axes")),
         ("strata", "multisingularity stratum counts", text, ("--shift",)),
-        ("verify", "seeded property suite", text,
-         ("--shift", "--samples", "--seed", "--max-support-size")),
+        ("verify", "seeded property suite", text, ("--shift", "--samples", "--seed")),
         ("plot", "SVG of the projected polytope or fiber polygon", (),
-         ("--shift", "--axes", "--max-support-size")),
+         ("--shift", "--axes")),
     )
     for name, help_text, formats, flags in commands:
         p = sub.add_parser(name, help=help_text)
@@ -367,10 +361,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if (cap := getattr(args, "max_support_size", 3)) < 3:  # no valid support is smaller
-        parser.error(f"argument --max-support-size: must be >= 3, got {cap}")
+    args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except (MorsekitError, OSError) as exc:

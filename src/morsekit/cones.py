@@ -657,13 +657,7 @@ def _subdivision_types(
     return found
 
 
-def _all_subdivisions(
-    support: SupportSet, max_support_size: int
-) -> list[tuple[int, ...]]:
-    if len(support) > max_support_size:
-        raise SupportTooLarge(
-            f"support of size {len(support)} exceeds the cap {max_support_size}"
-        )
+def _all_subdivisions(support: SupportSet) -> list[tuple[int, ...]]:
     interior = support.points[1:-1]
     subs = []
     for mask in range(2 ** len(interior)):
@@ -672,40 +666,41 @@ def _all_subdivisions(
     return sorted(subs)
 
 
-MAX_SUPPORT_SIZE = 7
+# The largest |A| each tree takes, refused before any tree work.  On a 2-core
+# x86 box shared with other load (Python 3.11, one run each), the fine tree
+# of [1..7] takes 81-87 s; the key tree of an 8-point support 0.3-4.2 s, and
+# of a 9-point one 1.1-12.2 s.
+MAX_FINE_SUPPORT = 7
+MAX_KEY_SUPPORT = 8
 
 
-def enumerate_types(
-    support: SupportSet,
-    *,
-    max_support_size: int = MAX_SUPPORT_SIZE,
-) -> list[tuple[CombinatorialType, Covector]]:
+def _enumerate(support: SupportSet, keys: bool) -> list[tuple[CombinatorialType, Covector]]:
+    cap = MAX_KEY_SUPPORT if keys else MAX_FINE_SUPPORT
+    if len(support) > cap:
+        raise SupportTooLarge(f"support of size {len(support)} exceeds the cap {cap}")
+    return [
+        item
+        for w in _all_subdivisions(support)
+        for item in _subdivision_types(support, keys, w)
+    ]
+
+
+def enumerate_types(support: SupportSet) -> list[tuple[CombinatorialType, Covector]]:
     """Every realizable combinatorial type, with an interior witness each.
 
     Output is canonically ordered (lexicographic by W, then Z, then M): the
     subdivisions are mapped in sorted W order, in this process, and each
     tree tries every chain's elements in increasing order, so it emits its
-    types sorted.  Raises SupportTooLarge past the combinatorial cap.
+    types sorted.  Raises SupportTooLarge when |A| > MAX_FINE_SUPPORT.
     """
-    return [
-        item
-        for w in _all_subdivisions(support, max_support_size)
-        for item in _subdivision_types(support, False, w)
-    ]
+    return _enumerate(support, False)
 
 
-def enumerate_keys(
-    support: SupportSet,
-    *,
-    max_support_size: int = MAX_SUPPORT_SIZE,
-) -> list[tuple[CombinatorialType, Covector]]:
+def enumerate_keys(support: SupportSet) -> list[tuple[CombinatorialType, Covector]]:
     """Every realizable drop key, with an interior witness each.
 
     As `enumerate_types`, with each M^j grown by the drop rule: a leaf is the
     drop key of the fine types in one convex cone, which share one vertex.
+    Raises SupportTooLarge when |A| > MAX_KEY_SUPPORT.
     """
-    return [
-        item
-        for w in _all_subdivisions(support, max_support_size)
-        for item in _subdivision_types(support, True, w)
-    ]
+    return _enumerate(support, True)

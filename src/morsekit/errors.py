@@ -38,7 +38,7 @@ class NotGenerating(SupportError):
 
 
 class SupportTooLarge(MorsekitError, ValueError):
-    """Support size exceeds the enumeration cap (combinatorial guard)."""
+    """Support size exceeds the cap of the tree that would enumerate it."""
 
 
 # --- covector / combinatorial degeneracies ----------------------------------
@@ -103,6 +103,14 @@ class NumberTooLarge(MorsekitError, ValueError):
 
 class HyperplaneViolation(MorsekitError):
     """Vertices disagree on the two ambient hyperplane constants (internal bug)."""
+
+
+class MissingCone(MorsekitError, KeyError):
+    """A polytope's cone table has no cone for a type (a build that missed one)."""
+
+    def __str__(self):
+        # KeyError would quote the message
+        return Exception.__str__(self)
 
 
 class BadAxes(MorsekitError, ValueError):

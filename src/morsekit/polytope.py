@@ -7,8 +7,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor
 
-from .cones import MAX_SUPPORT_SIZE, enumerate_keys, enumerate_types
-from .errors import BadAxes, HyperplaneViolation, NumberTooLarge
+from .cones import enumerate_keys, enumerate_types
+from .errors import BadAxes, HyperplaneViolation, MissingCone, NumberTooLarge
 from .rationals import rational_to_json
 from .singularity import drop_key
 from .support_function import ShiftConfig, mu_coeffs
@@ -48,7 +48,7 @@ class MorsePolytope:
         """The vertex of a type's cone, looked up by its drop key."""
         found = self._cone_index.get(drop_key(ctype))
         if found is None:
-            raise KeyError(f"no cone for {ctype}")
+            raise MissingCone(f"no cone for {ctype}")
         return self.vertices[found]
 
     def to_json(self) -> dict:
@@ -73,7 +73,6 @@ def build_polytope(
     support: SupportSet,
     shift: ShiftConfig = ShiftConfig(),
     *,
-    max_support_size: int = MAX_SUPPORT_SIZE,
     keys: bool = False,
 ) -> MorsePolytope:
     """Enumerate cones, evaluate the vertex of each, dedup, and verify.
@@ -82,10 +81,10 @@ def build_polytope(
     canonical enumeration order so the surjection stays inspectable.  With
     `keys` the cones are the drop keys' (`cones.enumerate_keys`), far fewer
     for the same vertices, and the table holds one record per key.  Either
-    build runs in this process.
+    build runs in this process, and raises SupportTooLarge past its tree's
+    cap on |A| (`cones.MAX_FINE_SUPPORT`, `cones.MAX_KEY_SUPPORT`).
     """
-    enumerate_cones = enumerate_keys if keys else enumerate_types
-    enumerated = enumerate_cones(support, max_support_size=max_support_size)
+    enumerated = (enumerate_keys if keys else enumerate_types)(support)
     raw = [mu_coeffs(support, ctype, shift) for ctype, _ in enumerated]
     vertices = tuple(sorted(set(raw)))
     index = {v: i for i, v in enumerate(vertices)}

@@ -417,11 +417,13 @@ class Classification:
     maxwell_witness: (i, j, value) for roots r_i != r_j with F(r_i) = F(r_j).
     caustic_witness: (root, extra_pair) where a second monomial pair ties
     at that root.
+    roots_and_values: the (r_j, F(r_j)) pairs the test read; not compared.
     """
 
     kind: str
     maxwell_witness: tuple | None = None
     caustic_witness: tuple | None = None
+    roots_and_values: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def is_morse(self) -> bool:
@@ -452,20 +454,11 @@ def classify(support: SupportSet, gamma: Covector) -> Classification:
     hull pair) attains equal values, that is, spans the slope of that root's
     hull edge; the witness is the first other pair in the edge's group of
     `slope_groups`.  The test is exact and tolerates covectors on hull walls.
+    The result keeps the `roots_and_values` it read, for a caller that
+    prints them too.
     """
     w = gamma.hull_vertices()
-    return classify_from_roots(support, gamma, w, roots_and_values(support, gamma, w))
-
-
-def classify_from_roots(
-    support: SupportSet,
-    gamma: Covector,
-    w: list[int],
-    rv: list[tuple[Fraction, Fraction]],
-) -> Classification:
-    """`classify`, given the hull vertices w and `roots_and_values` on them,
-    for a caller that prints the roots and values too."""
-    check_support(support, gamma)
+    rv = roots_and_values(support, gamma, w)
     maxwell = _first_equal_pair([phi for _, phi in rv])
     groups = slope_groups(support.points, gamma.values)
     group_of = {pair: pairs for pairs in groups for pair in pairs}
@@ -477,10 +470,8 @@ def classify_from_roots(
     )
     caustic = next(ties, None)
 
-    if maxwell and caustic:
-        return Classification(MAXWELL_AND_CAUSTIC, maxwell, caustic)
     if maxwell:
-        return Classification(MAXWELL, maxwell)
-    if caustic:
-        return Classification(CAUSTIC, caustic_witness=caustic)
-    return Classification(MORSE)
+        kind = MAXWELL_AND_CAUSTIC if caustic else MAXWELL
+    else:
+        kind = CAUSTIC if caustic else MORSE
+    return Classification(kind, maxwell, caustic, tuple(rv))

@@ -14,14 +14,8 @@ across supports, with no hull.
 
 from morsekit import HyperplaneViolation, NotGenerating, build_polytope, validate_support
 
-# [1..8] is one point past the default cap, and every build here stays cheap
-MAX_SUPPORT_SIZE = 8
-
-
 def key_build(points):
-    return build_polytope(
-        validate_support(points), keys=True, max_support_size=MAX_SUPPORT_SIZE
-    )
+    return build_polytope(validate_support(points), keys=True)
 
 
 def restrictions(points) -> list[tuple[int, int, list[int]]]:

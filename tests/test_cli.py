@@ -9,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from morsekit import tropical
+from morsekit import (
+    SupportTooLarge,
+    build_polytope,
+    cones,
+    enumerate_types,
+    tropical,
+    validate_support,
+)
 from morsekit.cli import main
 
 from conftest import time_limit
@@ -462,15 +469,63 @@ def test_polytope_json_bytes_pinned(capsys, support, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
-def test_max_support_size_guard(capsys):
-    code, _, err = run(
-        capsys,
-        "enumerate",
-        '{"A": [1, 2, 3, 4, 5, 6, 7, 8]}',
-        "--max-support-size",
-        "7",
-    )
-    assert code == 1 and "exceeds" in err
+class _TreeWork(Exception):
+    pass
+
+
+def _grow_no_tree(*args):
+    raise _TreeWork
+
+
+def _cli_route(*argv):
+    def build(capsys, points):
+        code, out, err = run(capsys, argv[0], json.dumps({"A": points}), *argv[1:])
+        return code, "" if code == 0 else out + err
+
+    return build
+
+
+def _library_route(function):
+    def build(capsys, points):
+        try:
+            function(validate_support(points))
+        except SupportTooLarge as exc:
+            return 1, f"error: {exc}\n"
+        return 0, ""
+
+    return build
+
+
+# route -> the largest |A| it builds, and a call returning (exit code, stderr)
+CAPPED_ROUTES = {
+    "enumerate": (7, _cli_route("enumerate")),
+    "polytope --format json": (7, _cli_route("polytope", "--format", "json")),
+    "polytope --format text": (7, _cli_route("polytope", "--format", "text")),
+    "enumerate_types": (7, _library_route(enumerate_types)),
+    "build_polytope(keys=False)": (7, _library_route(build_polytope)),
+    "verify": (8, _cli_route("verify", "--samples", "5")),
+    "plot": (8, _cli_route("plot")),
+    "polytope --format svg": (8, _cli_route("polytope", "--format", "svg")),
+    "build_polytope(keys=True)": (
+        8,
+        _library_route(lambda support: build_polytope(support, keys=True)),
+    ),
+}
+
+
+@pytest.mark.parametrize("route", CAPPED_ROUTES)
+def test_each_tree_has_its_own_support_cap(capsys, monkeypatch, route):
+    # the fine tree takes |A| <= 7 and the key tree |A| <= 8; past the cap a
+    # build is refused before any tree work, and at the cap it starts one
+    cap, build = CAPPED_ROUTES[route]
+    monkeypatch.setattr(cones, "_subdivision_types", _grow_no_tree)
+    message = f"error: support of size {cap + 1} exceeds the cap {cap}\n"
+    assert build(capsys, list(range(1, cap + 2))) == (1, message)
+    with pytest.raises(_TreeWork):
+        build(capsys, list(range(1, cap + 1)))
+    monkeypatch.undo()
+    if cap == 8:  # a key build at the cap takes well under a second
+        assert build(capsys, list(range(1, cap + 1))) == (0, "")
 
 
 def test_plot_polytope(capsys):
@@ -518,7 +573,7 @@ def test_drawings_build_from_drop_keys(capsys, monkeypatch):
 
 
 def test_key_builds_start_no_process_pool(capsys, monkeypatch):
-    # every build runs in this process: the key tree at the cap, and the
+    # every build runs in this process: the key tree at |A| = 7, and the
     # fine tree of `enumerate` and `polytope --format json|text`
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
@@ -567,12 +622,18 @@ def run_usage(capsys, *argv):
         ("enumerate", '{"A": [1,2,3,4]}', "--jobs", "2"),
         ("polytope", '{"A": [1,2,3,4]}', "--jobs", "1"),
         ("polytope", '{"A": [1,2,3,4]}', "--format", "svg", "--jobs", "1"),
+        ("enumerate", '{"A": [1,2,3,4]}', "--max-support-size", "7"),
+        ("polytope", '{"A": [1,2,3,4]}', "--max-support-size", "7"),
+        ("verify", '{"A": [1,2,3,4]}', "--max-support-size", "7"),
+        ("plot", '{"A": [1,2,3,4]}', "--max-support-size", "7"),
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[2:]),
 )
 def test_flag_the_subcommand_does_not_read_exits_one(capsys, argv):
+    # reported by the subcommand's parser, whose usage lists what it reads
     code, out, err = run_usage(capsys, *argv)
     assert code == 1 and out == "" and "error:" in err
+    assert err.startswith(f"usage: morsekit {argv[0]} ")
 
 
 @pytest.mark.parametrize(
@@ -591,7 +652,7 @@ def test_usage_errors_exit_one(capsys, argv):
 
 def test_help_exits_zero(capsys):
     code, out, _ = run_usage(capsys, "verify", "--help")
-    assert code == 0 and "--max-support-size" in out
+    assert code == 0 and "--samples" in out
 
 
 def test_one_parser_answers_like_fresh_ones(capsys, monkeypatch):
@@ -642,26 +703,6 @@ def test_main_runs_the_handler_bound_when_it_is_called(capsys, monkeypatch):
     monkeypatch.undo()
     assert main(argv) == 0 and capsys.readouterr().out == first
     assert "func" not in vars(cli_mod._parser().parse_args(argv))
-
-
-@pytest.mark.parametrize("cap", ["2", "0", "-5"])
-@pytest.mark.parametrize("command", ["enumerate", "polytope", "verify", "plot"])
-def test_support_cap_below_three_is_a_usage_error(capsys, command, cap):
-    # no valid support has fewer than 3 points; refused before the input
-    # is read, so the missing file is never reported
-    code, out, err = run_usage(
-        capsys, command, "no-such-input.json", "--max-support-size", cap
-    )
-    assert code == 1 and out == "" and "usage:" in err
-    message = f"error: argument --max-support-size: must be >= 3, got {cap}\n"
-    assert err.endswith(message)
-
-
-def test_verify_honours_max_support_size(capsys):
-    code, out, err = run(
-        capsys, "verify", '{"A": [1,2,3,4]}', "--max-support-size", "3"
-    )
-    assert code == 1 and out == "" and "exceeds" in err
 
 
 def _readme_examples():

@@ -13,6 +13,7 @@ added to, never relaxed.
 """
 
 import importlib
+import json
 
 import pytest
 
@@ -25,6 +26,8 @@ from morsekit import (
     run_property_suite,
     validate_support,
 )
+
+from morsekit.cli import main
 
 from cross_support import failing_identities
 
@@ -182,6 +185,17 @@ def test_mutant_matrix(monkeypatch, mutant, points):
         assert raised.value.args == (f"no cone for {expected}",)
     else:
         assert _failing_checks(points) == expected
+
+
+@pytest.mark.parametrize("points", SUPPORTS, ids=_name)
+def test_missing_cone_exits_one_on_the_command_line(monkeypatch, capsys, points):
+    # the type the suite cannot look up is a typed error: one line, exit 1
+    MUTANTS["first_key_dropped"](monkeypatch)
+    code = main(["verify", json.dumps({"A": points}), "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: no cone for {UNKEYED[_name(points)]}\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("points", IDENTITY_SUPPORTS, ids=_name)

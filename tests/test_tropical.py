@@ -469,9 +469,6 @@ OTHER_SUPPORT_KERNELS = {
     "extract": lambda A, g, t: mk.extract(A, g),
     "roots_and_values": lambda A, g, t: mk.roots_and_values(A, g, list(t.w)),
     "classify": lambda A, g, t: mk.classify(A, g),
-    "classify_from_roots": lambda A, g, t: tropical.classify_from_roots(
-        A, g, list(t.w), mk.roots_and_values(g.support, g, list(t.w))
-    ),
     "mu_value": lambda A, g, t: mk.mu_value(A, g),
     "newton_polygon_vertices": lambda A, g, t: mk.newton_polygon_vertices(A, g),
     "area_newton": lambda A, g, t: mk.area_newton(A, g),
