@@ -10,17 +10,19 @@ denominator.
 The simplex keeps a dictionary over the n nonbasic columns only, every entry
 over one common denominator, and pivots by exact integer division (Bareiss;
 Avis's lrs), so a pivot costs O(m n) however many rows have been pivoted.
-Each row is packed into one Python int, its right-hand side and its n
-entries in signed fields of one width; a pivot then updates a whole row with
-a few big-integer operations instead of one Python operation per entry, and
-one add and one mask of the objective row find every slot that may enter.
-The width is fixed per solve by Hadamard's inequality on the rows' 2-norms:
-every dictionary entry is a minor of order at most n + 1 of the forms with a
-column of ones appended, so it is at most the square root of the product of
-the n + 1 largest ||l_i||_2^2 + 1 (`feasible` gives the proof).  Each form's
-cleared integer form, norms and packed row are cached, since the enumeration
-solves the same forms many times over, and so are the packing constants of
-each width.
+The whole dictionary is one Python int: every right-hand side and entry in
+a signed field of one width, each row's n + 1 fields after the previous
+row's; the objective row is a second int laid out as one row.  A pivot then
+updates every row with a fixed number of big-integer operations instead of a
+Python loop over the rows, one add and one mask of the objective row find
+every slot that may enter, and one subtract and one mask of the pivot column
+every row that may leave.  The width is fixed per solve by Hadamard's
+inequality on the rows' 2-norms: every dictionary entry is a minor of order
+at most n + 1 of the forms with a column of ones appended, so it is at most
+the square root of the product of the n + 1 largest ||l_i||_2^2 + 1
+(`feasible` gives the proof).  Each form's cleared integer form, norms and
+packed row are cached, since the enumeration solves the same forms many
+times over, and so are the packing constants of each width and row count.
 
 The search is a backtracking tree per subdivision W: hull constraints first
 (they kill most subdivisions cheaply), then k + 1 chains in turn, the root
@@ -195,21 +197,41 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
     variable (sign +1), or, when artificial r leaves, surplus r (sign -1,
     the artificial's column negated).  Then det becomes p.
 
-    Each row is one Python int, sum_j e_j 2^(w j) over fields j = 0 .. n of
-    w bits: e_0 = A[i][n] is the right-hand side and e_(k+1) = A[i][k] the
-    entry in slot k; the objective row likewise.  With
-    q = A[r] + (sign det) 2^(w (s + 1)), the whole update of row i is
-    (p A[i] - A[i][s] q) // det.  Every field of the dividend is divisible
-    by det, so the division is exact on the int however wide an
-    intermediate field gets, and field s comes out as -sign A[i][s].
-    Field j decodes as ((A[i] + bias) >> w j & (2^w - 1)) - 2^(w - 1),
-    where bias holds 2^(w - 1) in every field, so the right-hand side needs
-    no shift.  Decoding is right as long as every stored entry lies in
-    (-2^(w - 1), 2^(w - 1)); then every field of O + bias is at least 1, so
-    subtracting 1 from each slot field borrows from no other field, and
-    slot k enters exactly when its field less one keeps its top bit.  One
-    add and one mask of O thus give every slot with O > 0, and Bland's rule
-    picks among them.
+    Row i is the int R_i = sum_j e_j 2^(w j) over fields j = 0 .. n of w
+    bits: e_0 = A[i][n] is the right-hand side and e_(k+1) = A[i][k] the
+    entry in slot k; the objective row O is one more int laid out alike.
+    The dictionary is the one int D = sum_i R_i 2^(t i), row stride
+    t = (n + 1) w, so entry j of row i is the coefficient of
+    2^(w ((n + 1) i + j)): D is one polynomial in 2^w, and every update
+    below acts on its coefficients.  Field j of row i decodes as
+    ((D + bias) >> (t i + w j) & (2^w - 1)) - 2^(w - 1), bias holding
+    2^(w - 1) in every field of every row.  A row with a negative top entry
+    is a negative int, so in the bits of D it borrows from the next row's
+    right-hand side; that is harmless, for the value of D is the sum of its
+    terms whatever its bits.  As long as every stored entry lies in
+    (-2^(w - 1), 2^(w - 1)), every field of D + bias lies in [1, 2^w), so
+    those fields are the base-2^w digits of D + bias and each decodes alone.
+
+    Entering: every field of O + bias is at least 1, so subtracting 1 from
+    each slot field borrows from no other field, and slot k enters exactly
+    when its field less one keeps its top bit.  One add and one mask of O
+    thus give every slot with O > 0, and Bland's rule picks among them.
+    Leaving: C = (D + bias) >> w (s + 1), masked to the right-hand-side
+    field of each row, holds A[i][s] + 2^(w - 1) there, at least 1; C less
+    1 in each of those fields, masked to their top bits, marks the rows with
+    A[i][s] > 0, and the ratio test visits only those.  Update: with
+    q = R_r + (sign det) 2^(w (s + 1)) and F = sum_i A[i][s] 2^(t i), which
+    is C less 2^(w - 1) in each of its fields, the new dictionary is
+    (p D - F q) // det with one fix of row r.  The n + 1 fields of q
+    shifted by t i meet no other row's, so entry j of row i in p D - F q is
+    p A[i][j] - A[i][s] q_j.  Each is divisible by det (for i != r by
+    Sylvester's identity, and row r's is p (R_r - q), -sign p det in slot
+    s alone), so the int is: the division is exact however wide an
+    intermediate field or borrow gets, and every quotient coefficient is an
+    entry, slot s of row i != r coming out as -sign A[i][s].  Adding
+    q + (sign - 1) p 2^(w (s + 1)) at row r turns its -sign p into the
+    pivot row with sign det in slot s.  O is updated as one row,
+    (p O - O[s] q) // det, less p in slot s when sign is -1.
 
     The width w is ((m + 1) H).bit_length() + 1 with
     H = ceil(sqrt(P)), P the product of the n + 1 largest of the weights
@@ -223,8 +245,10 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
     at least 1, at most sqrt(P) <= H in absolute value.  The objective row
     is the sum of the rows whose artificial is basic, at most m of them, so
     every stored entry is below (m + 1) H < 2^(w - 1) in absolute value.
-    The bound is nearly tight for zero forms, where H = 1 and the
-    objective's right-hand side is m, so one bit less can overflow.
+    Intermediate values may exceed it (p D - F q, q's slot s), but none is
+    decoded before the division.  The bound is nearly tight for zero forms,
+    where H = 1 and the objective's right-hand side is m, so one bit less
+    can overflow.
 
     At the optimum the Farkas multiplier of row i is y_i = 1 while
     artificial i is basic, y_i = -O[k] / det when surplus i sits in slot k,
@@ -264,14 +288,17 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
     artificial = n + m
     _, width = _field_width([weight for _, _, weight in cleared], n)
     half, mask, bias, entering, tops, shifts = _layout(n, width)
+    stride, row_mask, each, halves, column_mask, biases = _stack(n, m, width)
     rows = [_packed(integer, width) for integer, _, _ in cleared]
     # reduced costs of min(sum of artificials): the column sums
     obj = sum(rows)
+    table = sum(row << stride * i for i, row in enumerate(rows))
     cols = list(range(n))
     basis = [artificial + i for i in range(m)]
     det = 1
 
     while True:
+        biased = table + biases
         # Bland: the lowest-numbered variable with O > 0 enters; a slot is
         # positive iff its biased field less one keeps its top bit, which
         # for slot k is bit w (k + 2) - 1
@@ -286,12 +313,18 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
             if s < 0 or cols[k] < cols[s]:
                 s = k
         sh = shifts[s]
-        column = [((row + bias) >> sh & mask) - half for row in rows]
+        # slot s of every row, biased, in the field of that row's right-hand
+        # side; a row may leave iff its entry is positive
+        column = biased >> sh & column_mask
+        candidates = (column - each) & halves
         r = -1
-        for i, a in enumerate(column):
-            if a <= 0:
-                continue
-            b = ((rows[i] + half) & mask) - half
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            at = low.bit_length() - width
+            i = at // stride
+            a = (column >> at & mask) - half
+            b = (biased >> at & mask) - half
             if r < 0:
                 r, p, rb = i, a, b
                 continue
@@ -303,20 +336,17 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
         if r < 0:
             raise AssertionError("phase-1 objective unbounded (internal bug)")
         sign = -1 if basis[r] >= artificial else 1
-        prow = rows[r]
-        q = prow + (sign * det << sh)
-        for i, f in enumerate(column):
-            if i == r:
-                continue
-            if f:
-                rows[i] = (p * rows[i] - f * q) // det
-            elif p != det:
-                rows[i] = p * rows[i] // det
+        at = stride * r
+        q = (biased >> at & row_mask) - bias + (sign * det << sh)
+        # row r comes out as -sign p in slot s alone; the last term makes it
+        # the pivot row with the leaving column in slot s
+        table = (p * table - (column - halves) * q) // det + (
+            q + (sign * p - p << sh) << at
+        )
         f = ((obj + bias) >> sh & mask) - half
         obj = (p * obj - f * q) // det
         if sign < 0:
             obj -= p << sh
-        rows[r] = prow + (sign * det - p << sh)
         cols[s], basis[r] = (basis[r] if sign > 0 else n + r), cols[s]
         det = p
 
@@ -326,6 +356,7 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
         # of two; the first of the smallest cores is filed
         basic = [i for i in range(m) if basis[i] == artificial + i]
         surplus = [(shifts[k], forms[cols[k] - n]) for k in range(n) if cols[k] >= n]
+        row = {i: (biased >> stride * i & row_mask) - bias for i in basic}
 
         def proof(packed, members):
             # the core of `packed`, the sum of the rows `members`, or None
@@ -341,7 +372,7 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
             for group in combinations(basic, size):
                 if len(core) <= size:
                     break
-                found = proof(sum(rows[i] for i in group), group)
+                found = proof(sum(row[i] for i in group), group)
                 if found is not None and len(found) < len(core):
                     core = found
         for form in core:
@@ -350,7 +381,7 @@ def feasible(system: StrictSystem) -> tuple[tuple[int, ...], int] | None:
     numerators = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            numerators[var] = ((rows[i] + half) & mask) - half
+            numerators[var] = (biased >> stride * i & mask) - half
     return tuple(numerators), det
 
 
@@ -422,6 +453,25 @@ def _layout(n: int, width: int) -> tuple[int, int, int, int, int, tuple[int, ...
     return half, mask, bias, bias - ones, tops, shifts
 
 
+@lru_cache(maxsize=1 << 10)
+def _stack(n: int, m: int, width: int) -> tuple[int, int, int, int, int, int]:
+    """The constants of `feasible`'s dictionary of m rows, n slots each.
+
+    Row i starts at bit stride i, stride = (n + 1) w, and row_mask cuts one
+    row out.  `each` holds 1 in the right-hand-side field of every row,
+    `halves` half there, and column_mask the whole field; biases holds half
+    in every field of every row.
+    """
+    stride = width * (n + 1)
+    each = sum(1 << stride * i for i in range(m))
+    return (
+        stride,
+        (1 << stride) - 1,
+        each,
+        each << (width - 1),
+        each * ((1 << width) - 1),
+        each * _layout(n, width)[2],
+    )
 # --- constraint assembly ---------------------------------------------------------
 
 

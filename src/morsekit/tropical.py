@@ -127,7 +127,11 @@ class Covector:
     values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        values = tuple(_exact(v) for v in self.values)
+        values = self.values
+        # a tuple of ints is exact as it is; a bool, whose type is not int,
+        # still meets `_exact`, which refuses it
+        if type(values) is not tuple or not all(type(v) is int for v in values):
+            values = tuple(_exact(v) for v in values)
         if len(values) != len(self.support):
             raise CovectorError(
                 f"{len(values)} values for {len(self.support)} support points"

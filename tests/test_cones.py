@@ -340,26 +340,36 @@ def test_tree_leaves_carry_the_cone_constraints(monkeypatch, points):
         assert forms == cone_constraints(support, ctype).forms
 
 
-@pytest.mark.parametrize(
-    "points,solved",
-    [
-        # ids of the points alone: a re-pinned count fails a case, not renames it
-        pytest.param([1, 2, 3, 4], 22, id="1,2,3,4"),
-        pytest.param([2, 3, 4, 6], 23, id="2,3,4,6"),
-        pytest.param([-3, -1, 1, 2, 4], 310, id="-3,-1,1,2,4"),
-        pytest.param([1, 2, 3, 4, 5], 248, id="1,2,3,4,5"),
-        pytest.param(
-            [1, 2, 3, 4, 5, 6], 4775, marks=pytest.mark.slow, id="1,2,3,4,5,6"
-        ),
-        pytest.param(
-            [-3, -1, 1, 2, 4, 5], 6996, marks=pytest.mark.slow, id="-3,-1,1,2,4,5"
-        ),
-    ],
-)
-def test_tree_answers_match_storeless_solves(monkeypatch, points, solved):
+# the fine builds whose every feasibility call is checked; ids of the points
+# alone, so a re-pinned count fails a case rather than renaming it
+FINE_BUILDS = [
+    pytest.param(points, marks=marks, id=",".join(map(str, points)))
+    for points, marks in [
+        ([1, 2, 3, 4], ()),
+        ([2, 3, 4, 6], ()),
+        ([-3, -1, 1, 2, 4], ()),
+        ([1, 2, 3, 4, 5], ()),
+        ([1, 2, 3, 4, 5, 6], pytest.mark.slow),
+        ([-3, -1, 1, 2, 4, 5], pytest.mark.slow),
+    ]
+]
+
+# the systems of each fine build that the store does not answer
+STORE_MISSES = {
+    (1, 2, 3, 4): 22,
+    (2, 3, 4, 6): 23,
+    (-3, -1, 1, 2, 4): 310,
+    (1, 2, 3, 4, 5): 248,
+    (1, 2, 3, 4, 5, 6): 4775,
+    (-3, -1, 1, 2, 4, 5): 6996,
+}
+
+
+@pytest.mark.parametrize("points", FINE_BUILDS)
+def test_tree_answers_match_storeless_solves(monkeypatch, points):
     # every answer the tree gets, from the store or from pivoting, is the
-    # one the same forms get without a store; `solved` counts the systems
-    # the store did not answer, so a change to the store shows up here
+    # one the same forms get without a store; the count of systems the store
+    # did not answer shows any change to the store
     answers, hits = [], []
     lookup = cones._stored_core_within
 
@@ -377,7 +387,46 @@ def test_tree_answers_match_storeless_solves(monkeypatch, points, solved):
     assert answers and all(system.learned is not None for system, _ in answers)
     for system, answer in answers:
         assert answer == feasible(StrictSystem(system.nvars, system.forms))
-    assert len(answers) - sum(hits) == solved
+    assert len(answers) - sum(hits) == STORE_MISSES[tuple(points)]
+
+
+@pytest.mark.parametrize("points", FINE_BUILDS)
+def test_tree_answers_match_the_reference_simplex(monkeypatch, points):
+    # every system a real build solves, against the independent full-tableau
+    # oracle: the same witness, and a filed core no larger than the
+    # objective row's core the oracle records
+    calls = []
+    lookup = cones._stored_core_within
+
+    def recording_feasible(system):
+        learned = system.learned
+        before = {form: len(learned.get(form, ())) for form in system.forms}
+        hit = lookup(system)
+        answer = feasible(system)
+        filed = {
+            learned[form][-1]
+            for form, count in before.items()
+            if len(learned.get(form, ())) > count
+        }
+        calls.append((system, hit, answer, filed))
+        return answer
+
+    monkeypatch.setattr(cones, "feasible", recording_feasible)
+    enumerate_types(validate_support(points))
+    assert calls
+    for system, hit, answer, filed in calls:
+        reference_store = {}
+        expected = reference_feasible(
+            StrictSystem(system.nvars, system.forms, reference_store)
+        )
+        assert as_fractions(answer) == expected
+        # a system the store answers files nothing; one that pivots to an
+        # empty answer files exactly one core
+        assert len(filed) == (not hit and expected is None)
+        for core in filed:
+            (reference_core,) = {c for cores in reference_store.values() for c in cores}
+            assert core <= set(system.forms)
+            assert len(core) <= len(reference_core)
 
 
 def test_infeasible_root_order_for_positive_support():

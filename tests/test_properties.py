@@ -174,6 +174,54 @@ def test_objective_row_sums_many_rows():
         assert check(2, ((0, 0),) * m) is None
 
 
+@pytest.mark.parametrize(
+    "nvars,forms",
+    [
+        (2, ((1, -1), (1, 1))),
+        (2, ((2, -3), (0, 1), (1, -1))),
+        (3, ((1, 1, -5), (-1, 0, 1), (0, 0, 1))),
+        (3, ((4, 1, -9), (1, -2, -1), (-1, 3, 1))),
+        (2, ((1, -1), (-1, 1))),
+    ],
+)
+def test_a_negative_top_slot_borrows_across_a_row_boundary(nvars, forms):
+    # the whole dictionary is one int, row i at bit stride i: a row whose
+    # top slot is negative is a negative int, so in the table's bits it
+    # borrows from the next row, whose right-hand side 1 then reads 0
+    width = cones._field_width([cones._cleared(f)[2] for f in forms], nvars)[1]
+    stride = width * (nvars + 1)
+    rows = [cones._packed(cones._cleared(f)[0], width) for f in forms]
+    table = sum(row << stride * i for i, row in enumerate(rows))
+    assert table >> stride & ((1 << width) - 1) == 0
+    _check_against_the_reference(nvars, forms)
+
+
+def test_forty_rows_on_eight_variables_match_the_reference():
+    # many row boundaries in one int, and an objective row summing them
+    rnd = random.Random(40)
+    verdicts = set()
+    for _ in range(12):
+        low = rnd.choice((-9, -3, -1))
+        forms = tuple(
+            tuple(rnd.randint(low, 9) for _ in range(8))
+            for _ in range(rnd.randint(30, 40))
+        )
+        verdicts.add(_check_against_the_reference(8, forms) is None)
+    assert _check_against_the_reference(8, ((1,) * 8,) * 40) == (1,) + (0,) * 7
+    assert verdicts == {True, False}
+
+
+def test_a_det_past_two_cpython_digits_matches_the_reference():
+    # CPython ints have 30-bit digits on 64-bit builds, so once det passes
+    # 2^30 a pivot divides the dictionary by a two-digit int
+    forms = ((59569, 8613), (-44870, 43681), (-20493, 44772))
+    _, det = feasible(StrictSystem(2, forms))
+    assert det > 2**30
+    assert _check_against_the_reference(2, forms) is not None
+    negated = tuple(-sum(column) for column in zip(*forms))
+    assert _check_against_the_reference(2, forms + (negated,)) is None
+
+
 def _det(matrix) -> int:
     # Leibniz: exact, and orders of at most 4 make 24 terms
     total = 0

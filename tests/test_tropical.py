@@ -138,8 +138,10 @@ def test_covector_keeps_integral_floats_exact(mixed_support, mixed_gamma):
             (3, 5, Fraction(-1, 2), 5, 1),
             'negative entries not allowed: [3, 5, "-1/2", 5, 1]',
         ),
+        # a tuple of ints skips the per-value check, not the sign check
+        ((3, 5, -1, 5, 1), "negative entries not allowed: [3, 5, -1, 5, 1]"),
     ],
-    ids=["bool", "length", "negative"],
+    ids=["bool", "length", "negative", "negative int"],
 )
 def test_covector_checks_its_values(mixed_support, values, message):
     # the constructor is the one place values are checked; the kernels take
