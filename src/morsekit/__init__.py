@@ -35,6 +35,7 @@ _HOME = {
             "NotPositiveSupport",
             "NumberTooLarge",
             "RootValueDegenerate",
+            "SamplingError",
             "SlopeDegenerate",
             "SupportTooLarge",
             "TooShort",

@@ -85,6 +85,11 @@ class NotMorse(MorsekitError):
     """Operation requires a Morse covector; the witness explains why not."""
 
 
+class SamplingError(MorsekitError, ValueError):
+    """The covector sampler cannot draw: a bound below 1, or no Morse
+    covector within its budget of draws."""
+
+
 # --- arithmetic preconditions ------------------------------------------------
 
 class NonIntegerCovector(MorsekitError, ValueError):

@@ -18,9 +18,10 @@ from .support_function import ShiftConfig, mu_coeffs, mu_value
 from .tropical import CombinatorialType, Covector, SupportSet, check_support, extract
 
 
-def _edge_areas(gamma: Covector, w: list[int]) -> list[int | Fraction]:
-    """Oriented triangle areas S_j = w_{j+1} gamma(w_j) - w_j gamma(w_{j+1})."""
-    return [v * gamma(u) - u * gamma(v) for u, v in zip(w, w[1:])]
+def _edge_areas(w, g) -> list[int | Fraction]:
+    """Oriented triangle areas S_j = w_{j+1} gamma(w_j) - w_j gamma(w_{j+1}),
+    from the values g of gamma at w."""
+    return [v * gu - u * gv for u, v, gu, gv in zip(w, w[1:], g, g[1:])]
 
 
 def newton_polygon_vertices(
@@ -33,8 +34,9 @@ def newton_polygon_vertices(
     value is 0) are merged.
     """
     check_support(support, gamma)
+    w = gamma.hull_vertices()
     cycle = [(support.low, 0), (support.high, 0)]
-    cycle += [(p, gamma(p)) for p in reversed(gamma.hull_vertices())]
+    cycle += reversed(list(zip(w, gamma.at(w))))
     return [pt for i, pt in enumerate(cycle) if pt != cycle[(i + 1) % len(cycle)]]
 
 
@@ -51,7 +53,8 @@ def area_newton_formula(support: SupportSet, gamma: Covector) -> int | Fraction:
     """Same area through the edge sums: sum S_j + w_k g(w_k) - w_0 g(w_0)."""
     check_support(support, gamma)
     w = gamma.hull_vertices()
-    return sum(_edge_areas(gamma, w)) + w[-1] * gamma(w[-1]) - w[0] * gamma(w[0])
+    g = gamma.at(w)
+    return sum(_edge_areas(w, g)) + w[-1] * g[-1] - w[0] * g[0]
 
 
 def _extract_or_not_morse(support: SupportSet, gamma: Covector) -> CombinatorialType:
@@ -126,14 +129,15 @@ def trapezoid_stack(
 ) -> FiberPolygon:
     """`fiber_polygon` read off a type and its Newton area `base`, computed once."""
     check_support(support, gamma)
-    w = list(ctype.w)
-    s = _edge_areas(gamma, w)
+    w = ctype.w
+    g = gamma.at(w)
+    s = _edge_areas(w, g)
     d = [w[i + 1] - w[i] for i in range(len(w) - 1)]
 
     if support.low > 0:
-        base += support.low * gamma(w[0])
+        base += support.low * g[0]
     elif support.high < 0:
-        base += -support.high * gamma(w[-1])
+        base += -support.high * g[-1]
 
     bases = [base]
     for zj in ctype.z:
@@ -159,7 +163,8 @@ def vol_fiber_closed(
         ctype = _extract_or_not_morse(support, gamma)
     w = ctype.w
     k = ctype.k
-    s = _edge_areas(gamma, list(w))
+    g = gamma.at(w)
+    s = _edge_areas(w, g)
     d = [w[i + 1] - w[i] for i in range(k)]
     total = 0
     run = 0
@@ -167,8 +172,8 @@ def vol_fiber_closed(
         total += s[zj] * (d[zj] + run)
         run += 2 * d[zj]
     w0, wk = w[0], w[k]
-    total += (abs(w0) - w0) * (wk - w0) * gamma(w0)
-    total += (wk + abs(wk)) * (wk - w0) * gamma(wk)
+    total += (abs(w0) - w0) * (wk - w0) * g[0]
+    total += (wk + abs(wk)) * (wk - w0) * g[k]
     return total
 
 
@@ -228,8 +233,8 @@ def solve_strata(
     """`strata_counts` read off a type, the Newton area and mu, computed once."""
     if not gamma.is_integral():
         raise NonIntegerCovector("strata counts are defined for integer covectors")
-    w0, wk = ctype.w[0], ctype.w[-1]
-    n_a2 = area - gamma(w0) - gamma(wk)
+    g0, gk = gamma.at((ctype.w[0], ctype.w[-1]))
+    n_a2 = area - g0 - gk
     doubled = mu - n_a2
     chi_a1 = -area - doubled - 2 * n_a2
     even = doubled % 2 == 0

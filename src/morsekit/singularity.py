@@ -158,6 +158,11 @@ def level_scan(
     h3 > 0, so x is in the gcd when its level comes.  gcd(A) divides every
     difference of A, so it is 1, and the scan returns before any level that
     only a base point would hold.
+
+    The scan reads `Covector.numerators` once, g at w_j and w_{j+1} among
+    them: on an integral covector they are its values as ints, so a covector
+    of ints is read as it is, with no int() per value, and an integral
+    Fraction covector, what the CLI parses, is read the same way.
     """
     check_support(support, gamma)
     if not gamma.is_integral():
@@ -166,14 +171,16 @@ def level_scan(
         )
     w = ctype.w
     u, v = w[j], w[j + 1]
-    gu, gv = int(gamma(u)), int(gamma(v))
+    # gamma is integral, so its numerators are its values, as ints
+    lifted = dict(zip(support.points, gamma.numerators()))
+    gu, gv = lifted[u], lifted[v]
     s = v * gu - u * gv
     content = gcd(gcd(abs(gu - gv), abs(s)), v - u)
     # the reduced facet level S_j / content is the middle coefficient h2
     h1, h2, h3 = (gu - gv) // content, s // content, (v - u) // content
     by_level: dict[int, list[int]] = {}
-    for x, z in zip(support.points, gamma.values):
-        by_level.setdefault(h1 * x + h3 * int(z), []).append(x)
+    for x, z in lifted.items():
+        by_level.setdefault(h1 * x + h3 * z, []).append(x)
     levels = sorted(by_level, reverse=True)
     if levels[0] > h2:
         raise AssertionError(

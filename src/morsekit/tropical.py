@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
@@ -113,6 +113,24 @@ def validate_support(raw) -> SupportSet:
     return SupportSet(tuple(points))
 
 
+class _cached:
+    """`functools.cached_property` without the lock Python 3.11 takes on each
+    first read: the value is computed once and stored in the instance, whose
+    own attribute then shadows this descriptor."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Covector:
     """Exact nonnegative rational coefficients aligned with a support set.
@@ -128,9 +146,9 @@ class Covector:
 
     def __post_init__(self):
         values = self.values
-        # a tuple of ints is exact as it is; a bool, whose type is not int,
-        # still meets `_exact`, which refuses it
-        if type(values) is not tuple or not all(type(v) is int for v in values):
+        # a tuple of ints and Fractions is exact as it is; a bool, whose type
+        # is not int, or a float still meets `_exact`
+        if type(values) is not tuple or not _EXACT.issuperset(map(type, values)):
             values = tuple(_exact(v) for v in values)
         if len(values) != len(self.support):
             raise CovectorError(
@@ -144,7 +162,12 @@ class Covector:
     def __call__(self, p: int) -> int | Fraction:
         return self.values[self.support._position[p]]
 
-    @cached_property
+    def at(self, points) -> list[int | Fraction]:
+        """The values at these exponents, in their order: a whole W in one call."""
+        position, values = self.support._position, self.values
+        return [values[position[p]] for p in points]
+
+    @_cached
     def _cleared(self) -> tuple[tuple[int, ...], int, bool]:
         # the values as integer numerators over one common denominator, and
         # whether every value is an int (then they are their own numerators)
@@ -164,13 +187,18 @@ class Covector:
         """
         return self.from_cleared(sum(map(mul, coeffs, self._cleared[0])))
 
+    def numerators(self) -> tuple[int, ...]:
+        """The values times their common denominator, as ints; on an
+        integral covector, the values themselves."""
+        return self._cleared[0]
+
     def from_cleared(self, total) -> int | Fraction:
         """A linear form's value here, in the type `dot` gives, from `total`,
         its value at this covector times its common denominator."""
         _, scale, ints = self._cleared
         return total if ints else Fraction(total, scale)
 
-    @cached_property
+    @_cached
     def _hull_vertices(self) -> tuple[int, ...]:
         lifted = zip(reversed(self.support.points), reversed(self.values))
         return tuple(x for x, _ in reversed(_chain(lifted)))
@@ -196,6 +224,9 @@ class Covector:
 
     def to_json(self) -> list:
         return [rational_to_json(v) for v in self.values]
+
+
+_EXACT = frozenset((int, Fraction))
 
 
 def _exact(v) -> int | Fraction:
@@ -243,10 +274,6 @@ def parse_input_json(obj) -> tuple[SupportSet, Covector | None]:
 # --- hulls --------------------------------------------------------------------
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _chain(points) -> list:
     """Monotone chain: the points in the given order that make strict left turns.
 
@@ -256,7 +283,11 @@ def _chain(points) -> list:
     """
     chain: list = []
     for p in points:
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+        x, y = p
+        while len(chain) >= 2:
+            (x0, y0), (x1, y1) = chain[-2], chain[-1]
+            if (x1 - x0) * (y - y0) > (y1 - y0) * (x - x0):
+                break
             chain.pop()
         chain.append(p)
     return chain
@@ -280,12 +311,12 @@ def upper_hull(support: SupportSet, gamma: Covector) -> list[int]:
     Newton polygon cannot displace hull membership for nonnegative gamma."""
     check_support(support, gamma)
     w = gamma.hull_vertices()
-    hull = [(p, gamma(p)) for p in w]
-    edges = zip(hull, hull[1:])
-    (u, gu), (v, gv) = next(edges)
+    g = gamma.at(w)
+    edges = zip(w, g, w[1:], g[1:])
+    u, gu, v, gv = next(edges)
     for p, gp in zip(support.points[1:-1], gamma.values[1:-1]):
         if p == v:
-            (u, gu), (v, gv) = next(edges)
+            u, gu, v, gv = next(edges)
         elif gp * (v - u) == gu * (v - p) + gv * (p - u):
             raise DegenerateHull(p, (u, v))
     return w
@@ -295,10 +326,10 @@ def _root_table(gamma: Covector, w) -> tuple[int, list, list]:
     """The one root formula: L, the lcm of the widths of the edges (u, v) of
     w, then per edge L r_j = (g(u) - g(v)) (L // (v - u)) and L F(r_j) =
     g(u) L + u L r_j; nothing is divided, so ints stay ints."""
-    edges = list(zip(w, w[1:]))
-    scale = lcm(*(v - u for u, v in edges))
-    rises = [(gamma(u) - gamma(v)) * (scale // (v - u)) for u, v in edges]
-    return scale, rises, [gamma(u) * scale + r * u for (u, _), r in zip(edges, rises)]
+    g = gamma.at(w)
+    scale = lcm(*(v - u for u, v in zip(w, w[1:])))
+    rises = [(gu - gv) * (scale // (v - u)) for u, v, gu, gv in zip(w, w[1:], g, g[1:])]
+    return scale, rises, [gu * scale + r * u for u, gu, r in zip(w, g, rises)]
 
 
 def roots_and_values(
@@ -343,35 +374,51 @@ class CombinatorialType:
         return {"W": list(self.w), "Z": list(self.z), "M": [list(s) for s in self.m]}
 
 
+@lru_cache(maxsize=1 << 8)
+def _pair_table(points: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """Every pair of positions i < j of the sorted `points`, in lexicographic
+    order, with its factor L // (q - p), where p, q are the exponents at i
+    and j and L is the lcm of all gaps q - p.  One table per support."""
+    pairs = list(combinations(range(len(points)), 2))
+    scale = lcm(*(points[j] - points[i] for i, j in pairs))
+    return tuple((i, j, scale // (points[j] - points[i])) for i, j in pairs)
+
+
 def slope_groups(points, values) -> list[list[tuple[int, int]]]:
     """The exponent pairs (p, q), p < q, grouped by the slope they span.
 
     `values` are aligned with the sorted `points`.  Two pairs share a group
     exactly when (g(q) - g(p)) / (q - p) is equal; the key is that slope
-    times the lcm L of all exponent gaps, (g(q) - g(p)) (L // (q - p)), so
-    integer values are grouped in integers and Fractions as Fractions.
-    Groups come in order of first appearance, pairs in lexicographic order.
+    times the lcm L of all exponent gaps, (g(q) - g(p)) (L // (q - p)), with
+    the factors read off the support's pair table, so integer values are
+    grouped in integers and Fractions as Fractions.  Groups come in order of
+    first appearance, pairs in lexicographic order.
     """
-    pairs = list(combinations(zip(points, values), 2))
-    scale = lcm(*(q - p for (p, _), (q, _) in pairs))
     groups: dict = {}
-    for (p, gp), (q, gq) in pairs:
-        groups.setdefault((gq - gp) * (scale // (q - p)), []).append((p, q))
+    for i, j, factor in _pair_table(tuple(points)):
+        groups.setdefault((values[j] - values[i]) * factor, []).append(
+            (points[i], points[j])
+        )
     return list(groups.values())
 
 
 def check_slopes(support: SupportSet, gamma: Covector) -> None:
     """Assert that no two distinct exponent pairs span equal slopes.
 
-    This is the global genericity condition the orderings M^j rely on.  The
-    witness is the first two pairs of the first group of `slope_groups` with
-    more than one, which is the first tie a scan over all pairs of pairs in
-    lexicographic order would meet.
+    This is the global genericity condition the orderings M^j rely on.  One
+    pass over the support's pair table counts the distinct slope keys of
+    `slope_groups`; only when there are fewer keys than pairs are the pairs
+    grouped.  The witness is then the first two pairs of the first group
+    with more than one, which is the first tie a scan over all pairs of
+    pairs in lexicographic order would meet.
     """
     check_support(support, gamma)
-    for pairs in slope_groups(support.points, gamma.values):
-        if len(pairs) > 1:
-            raise SlopeDegenerate(pairs[0], pairs[1])
+    values = gamma.values
+    table = _pair_table(support.points)
+    if len({(values[j] - values[i]) * f for i, j, f in table}) < len(table):
+        groups = slope_groups(support.points, values)
+        pairs = next(pairs for pairs in groups if len(pairs) > 1)
+        raise SlopeDegenerate(pairs[0], pairs[1])
 
 
 def _first_equal_pair(values) -> tuple[int, int, Fraction] | None:
@@ -387,15 +434,17 @@ def extract(support: SupportSet, gamma: Covector) -> CombinatorialType:
 
     Nothing is divided, so a covector of ints is worked in ints: root values
     compare by `_root_table`'s L F(r_j), and M^j sorts by g(p) L + p L r_j,
-    L times monomial p's value at root j.  Raises DegenerateHull,
-    SlopeDegenerate or RootValueDegenerate, in that order.
+    L times monomial p's value at root j.  Like the slope check, the root
+    values are tested for a tie by counting the distinct ones, and only a
+    tie looks for its first pair.  Raises DegenerateHull, SlopeDegenerate or
+    RootValueDegenerate, in that order.
     """
     w = upper_hull(support, gamma)
     check_slopes(support, gamma)
     scale, rises, keys = _root_table(gamma, w)
-    tie = _first_equal_pair(keys)
-    if tie is not None:
-        raise RootValueDegenerate(*tie[:2], Fraction(tie[2], scale))
+    if len(set(keys)) < len(keys):
+        i, j, value = _first_equal_pair(keys)
+        raise RootValueDegenerate(i, j, Fraction(value, scale))
     z = tuple(sorted(range(len(keys)), key=keys.__getitem__))
     scaled = {p: gp * scale for p, gp in zip(support.points, gamma.values)}
     m = []

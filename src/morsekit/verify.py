@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import mul
 
-from .errors import DegeneracyError
+from .errors import DegeneracyError, SamplingError
 from .fiber import (
     area_newton,
     area_newton_formula,
@@ -52,22 +53,35 @@ from .tropical import CombinatorialType, Covector, SupportSet, extract
 SAMPLE_BOUND = 50
 
 
+# the most degenerate draws in a row `sample_morse_covector` makes before it
+# gives up; verify's own draws, at SAMPLE_BOUND, need a few dozen at most
+SAMPLE_BUDGET = 10_000
+
+
 def sample_morse_covector(
     support: SupportSet, rng: random.Random, *, bound: int = SAMPLE_BOUND
 ) -> tuple[Covector, CombinatorialType, int]:
     """A Morse covector from the seeded grid, its type, and the resample count.
 
-    Each draw is a Covector of ints, extracted in integers; the first that
-    extracts is returned with its type."""
-    resamples = 0
-    while True:
-        gamma = Covector(support, tuple(rng.randint(0, bound) for _ in support.points))
+    Each entry is drawn as `rng.randrange(bound + 1)`, the stream of
+    `rng.randint(0, bound)`.  Each draw is a Covector of ints, extracted in
+    integers; the first that extracts is returned with its type.  Raises
+    SamplingError on a bound below 1, and once SAMPLE_BUDGET draws in a row
+    were degenerate: a small grid may hold no Morse covector at all.
+    """
+    if bound < 1:
+        raise SamplingError(f"sample bound must be at least 1, got {bound}")
+    draw, stop, size = rng.randrange, bound + 1, len(support)
+    for resamples in range(SAMPLE_BUDGET):
+        gamma = Covector(support, tuple(map(draw, repeat(stop, size))))
         try:
-            ctype = extract(support, gamma)
+            return gamma, extract(support, gamma), resamples
         except DegeneracyError:
-            resamples += 1
-            continue
-        return gamma, ctype, resamples
+            pass
+    raise SamplingError(
+        f"no Morse covector in {SAMPLE_BUDGET} draws on A = {list(support.points)} "
+        f"with entries up to {bound}"
+    )
 
 
 class PackedHeights:
@@ -193,17 +207,17 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
     for _ in range(samples):
         gamma, ctype, extra = sample_morse_covector(support, rng, bound=SAMPLE_BOUND)
         result.resamples += extra
-        if ctype not in forms:
-            mu_form = mu_coeffs(support, ctype, shift)
+        entry = forms.get(ctype)
+        if entry is None:
             vertex = polytope.vertex_of(ctype)
-            forms[ctype] = (
-                mu_form,
+            entry = forms[ctype] = (
+                mu_coeffs(support, ctype, shift),
                 vertex,
                 packing.offset(position[vertex]),
                 [c_coeffs(support, ctype, j) for j in range(ctype.k)],
                 a2_coeffs(support, ctype),
             )
-        mu_form, vertex, offset, c_forms, a2_form = forms[ctype]
+        mu_form, vertex, offset, c_forms, a2_form = entry
         # the sample holds ints, so each form's value is its plain sum
         values = gamma.values
 
@@ -253,18 +267,19 @@ def run_property_suite(polytope: MorsePolytope, samples: int, seed: int) -> Suit
         # |A2| read off the cone's own form, not from the shoelace or mu
         a2 = sum(map(mul, a2_form, values))
         w0, wk = ctype.w[0], ctype.w[-1]
+        g0, gk = gamma.at((w0, wk))
         eq1 = counts.chi_a1 + 2 * counts.n_2a1 + 2 * a2 == -shoelace
         eq2 = counts.n_a2 == a2
         # third relation, endpoint constants rebased to the raw convention
         c1_raw = shift.c1 - 3 * w0 - 2
         c2_raw = shift.c2 + 3 * wk - 2
         eq3 = counts.chi_a1 - counts.n_a2 == (
-            -stacked - c1_raw * gamma(w0) - c2_raw * gamma(wk) - sum(corrections)
+            -stacked - c1_raw * g0 - c2_raw * gk - sum(corrections)
         )
         # the shift moves mu, hence 2*n_2a1, by c1*gamma(w0) + c2*gamma(wk);
         # parity is a property of the (0, 0) convention
         doubled = 2 * counts.n_2a1
-        parity = (doubled - shift.c1 * gamma(w0) - shift.c2 * gamma(wk)) % 2 == 0
+        parity = (doubled - shift.c1 * g0 - shift.c2 * gk) % 2 == 0
         ok = eq1 and eq2 and eq3 and parity
         strata.record(
             ok, gamma, "" if ok else f"eq1={eq1} eq2={eq2} eq3={eq3} parity={parity}"

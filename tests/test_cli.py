@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from morsekit import (
     validate_support,
 )
 from morsekit.cli import main
+from morsekit.errors import SlopeDegenerate
 
 from conftest import time_limit
 
@@ -122,10 +124,13 @@ def test_support_entry_of_61_digits(capsys, command):
 
 
 def test_witness_left_on_a_slope_tie_exit_one(capsys, monkeypatch):
-    # every candidate's extract reports the slopes of (1, 2) and (3, 4) tied
-    monkeypatch.setattr(
-        "morsekit.tropical.slope_groups", lambda points, values: [[(1, 2), (3, 4)]]
-    )
+    # every candidate's extract reports the slopes of (1, 2) and (3, 4) tied;
+    # the slope check groups its pairs only once its own count finds a tie,
+    # so the tie goes in at the check itself
+    def tied(support, gamma):
+        raise SlopeDegenerate((1, 2), (3, 4))
+
+    monkeypatch.setattr("morsekit.tropical.check_slopes", tied)
     code, out, err = run(capsys, "polytope", '{"A": [1, 2, 3, 4]}')
     assert code == 1 and out == ""
     assert err == "error: could not move a cone's witness off the slope ties\n"
@@ -393,6 +398,33 @@ def test_verify_stdout_bytes_pinned(capsys, argv, sha256):
     code, out, _ = run(capsys, "verify", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_verify_counts_covector_reads_and_extracts(capsys, monkeypatch):
+    # machine-free counters of one seeded 200-sample verify: the kernels read
+    # a covector's values by position, so `Covector.__call__` is never called
+    # (8,173 calls when each kernel called it once per point); one extract per
+    # draw, and 31 more for the key tree's witnesses
+    counts = {"__call__": 0, "extract": 0}
+    covector_call, extract = tropical.Covector.__call__, tropical.extract
+
+    def counting_call(self, p):
+        counts["__call__"] += 1
+        return covector_call(self, p)
+
+    def counting_extract(support, gamma):
+        counts["extract"] += 1
+        return extract(support, gamma)
+
+    monkeypatch.setattr(tropical.Covector, "__call__", counting_call)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "morsekit" and getattr(module, "extract", None) is extract:
+            monkeypatch.setattr(module, "extract", counting_extract)
+    code, _, _ = run(
+        capsys, "verify", '{"A": [-3,-1,1,2,4]}', "--samples", "200", "--seed", "1"
+    )
+    assert code == 0
+    assert counts == {"__call__": 0, "extract": 253}
 
 
 def test_samples_cap(capsys, monkeypatch):

@@ -12,7 +12,9 @@ from morsekit import (
     BadAxes,
     CombinatorialType,
     Covector,
+    MorsekitError,
     NumberTooLarge,
+    SamplingError,
     ShiftConfig,
     build_polytope,
     convex_hull_2d,
@@ -24,11 +26,12 @@ from morsekit import (
     run_property_suite,
     sample_morse_covector,
     unit_interval_shift,
+    validate_support,
 )
 from morsekit import tropical
 from morsekit.tropical import _chain
 
-from conftest import dot
+from conftest import dot, time_limit
 
 
 def test_deg4_polytope_golden(deg4_support):
@@ -115,6 +118,45 @@ def test_verify_sample_builds_its_hull_once(monkeypatch, mixed_support):
     result = run_property_suite(poly, 200, 1)
     assert result.ok and result.resamples > 0
     assert len(chains) == result.samples + result.resamples
+
+
+@pytest.mark.parametrize("seed,bound", [(0, 7), (13, 50), (2024, 10**12)])
+def test_sampler_draws_the_randint_stream(mixed_support, seed, bound):
+    # every entry of every draw, degenerate ones too, is the next value of
+    # randint(0, bound) on the same seed, on every Python the sampler runs on
+    rng, reference = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        gamma, _, resamples = sample_morse_covector(mixed_support, rng, bound=bound)
+        draws = [
+            tuple(reference.randint(0, bound) for _ in mixed_support)
+            for _ in range(resamples + 1)
+        ]
+        assert gamma.values == draws[-1]
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize(
+    "points,bound,message",
+    [
+        ([-3, -1, 1, 2, 4], 0, "sample bound must be at least 1, got 0"),
+        ([-3, -1, 1, 2, 4], -1, "sample bound must be at least 1, got -1"),
+        (
+            [1, 2, 3, 4, 5, 6, 7],
+            2,
+            "no Morse covector in 10000 draws on A = [1, 2, 3, 4, 5, 6, 7] "
+            "with entries up to 2",
+        ),
+    ],
+    ids=["zero", "negative", "no-morse-point"],
+)
+def test_sampler_refuses_a_grid_without_morse_covectors(points, bound, message):
+    # a bound of 0 draws only the zero covector, and no point of {0, 1, 2}^7
+    # is generic: each fails with a typed error instead of drawing forever
+    support = validate_support(points)
+    with time_limit(1), pytest.raises(SamplingError) as exc:
+        sample_morse_covector(support, random.Random(1), bound=bound)
+    assert str(exc.value) == message
+    assert isinstance(exc.value, MorsekitError)
 
 
 def _run_types(support, samples, seed):

@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from morsekit import (  # noqa: E402
@@ -477,11 +477,23 @@ def test_integer_covector_computes_in_ints(data):
 
 
 @st.composite
-def tie_heavy_covectors(draw):
+def supports_up_to_eight_points(draw):
+    """Valid supports of 3 to 8 exponents in [-12, 12]."""
+    points = draw(
+        st.lists(st.integers(-12, 12).filter(bool), min_size=3, max_size=8, unique=True)
+    )
+    try:
+        return validate_support(points)
+    except MorsekitError:
+        assume(False)
+
+
+@st.composite
+def tie_heavy_covectors(draw, supports=st.sampled_from(TIE_SUPPORTS)):
     """Covectors on a grid of values 0-3, with rational entries, or with
     entries up to 10^12, so that slope ties, caustic pairs and equal root
     values are common on the first two and exact keys grow on the last."""
-    support = draw(st.sampled_from(TIE_SUPPORTS))
+    support = draw(supports)
     value = draw(
         st.sampled_from(
             [
@@ -568,9 +580,7 @@ def _extract_verdict(extract_fn, support, gamma, scale=1):
         return type(exc), exc.index_a, exc.index_b, exc.value / scale
 
 
-@settings(max_examples=500, deadline=None)
-@given(tie_heavy_covectors())
-def test_extract_matches_the_reference_on_fractions_and_integers(gamma):
+def _check_extract_against_the_reference(gamma):
     # extract never divides, so a Covector of the cleared integers is worked
     # in integers; a quotient of two ints anywhere would be a float, which
     # loses the 10^60 + 1 support's digits
@@ -580,6 +590,20 @@ def test_extract_matches_the_reference_on_fractions_and_integers(gamma):
     integers = Covector(support, clear_denominators(gamma.values))
     scale = common_denominator(gamma.values)
     assert _extract_verdict(extract, support, integers, scale) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_heavy_covectors())
+def test_extract_matches_the_reference_on_fractions_and_integers(gamma):
+    _check_extract_against_the_reference(gamma)
+
+
+@pytest.mark.slow
+@settings(max_examples=5000, deadline=None)
+@given(tie_heavy_covectors(supports_up_to_eight_points()))
+def test_extract_matches_the_reference_on_supports_up_to_eight_points(gamma):
+    # many supports in one process: each reads its own cached pair table
+    _check_extract_against_the_reference(gamma)
 
 
 def _kernel_results(gamma) -> list:

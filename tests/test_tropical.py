@@ -124,6 +124,24 @@ def test_int_values_stay_ints(mixed_support, mixed_gamma):
     assert type(mixed_gamma.dot((1, 0, 0, 0, 0))) is Fraction
 
 
+def test_covector_takes_ints_and_fractions_as_they_are(monkeypatch, mixed_support):
+    # a tuple of ints and Fractions is exact already; a float or a bool in it
+    # sends every entry through `_exact`
+    seen = []
+    exact = tropical._exact
+
+    def recording(v):
+        seen.append(v)
+        return exact(v)
+
+    monkeypatch.setattr(tropical, "_exact", recording)
+    values = (3, Fraction(5, 2), 2, Fraction(5), 1)
+    assert Covector(mixed_support, values).values is values
+    assert seen == []
+    assert Covector(mixed_support, (3, 5.0, 2, 5, 1)).values == (3, 5, 2, 5, 1)
+    assert seen == [3, 5.0, 2, 5, 1]
+
+
 def test_covector_keeps_integral_floats_exact(mixed_support, mixed_gamma):
     assert Covector(mixed_support, (3.0, 5, 2.0, 5, 1)) == mixed_gamma
     assert covector_from_values(mixed_support, (3.0, 5, 2.0, 5, 1)) == mixed_gamma
